@@ -10,10 +10,8 @@
 //                  [--budget B] [--refresh-hours T] [--backbone FILE]
 //                  [--stripes N] [--solve-threads N] [--no-prewarm]
 //                  [--max-resident-pairs N] [--pair-ttl PERIODS]
-//                  [--max-inflight N]
-//                  [--backend legacy|epoll|uring] [--write-buffer-cap BYTES]
-//                  [--reactor-threads N] [--legacy-threads]
-//                  [--probe-backend uring]
+//                  [--max-inflight N] [--write-buffer-cap BYTES]
+//                  [--reactor-threads N]
 //                  [--replica-id N] [--peers P1,P2,...] [--ring-seed S]
 //                  [--ring-epoch E] [--gossip-period MS]
 //                  [--http-port N] [--trace-sample N]
@@ -30,29 +28,16 @@
 // Without --peers the controller runs standalone, bit-identical to the
 // pre-federation daemon.
 //
-// --backend legacy|epoll|uring: serving backend (DESIGN.md §6j).  `epoll`
-// (the default) and `uring` serve every connection from an event-driven
-// reactor behind the same dispatch path; `uring` uses one io_uring ring
-// per worker and falls back to epoll — counted and flight-recorded — when
-// the kernel cannot run it.  `legacy` is the thread-per-connection loop.
+// Every connection is served by the epoll reactor (DESIGN.md §6h): a
+// fixed pool of event-loop workers, each connection pinned to one worker.
 //
 // --write-buffer-cap BYTES: per-connection reply-queue cap (default 4 MiB).
 // A connection whose unsent replies reach the cap stops being *read* until
 // its queue drains under half the cap, so one slow consumer cannot balloon
 // server memory (rpc.server.backpressure.* counts pauses).
 //
-// --reactor-threads N: event-loop workers for the epoll/io_uring backends
-// (DESIGN.md §6h).  The daemon defaults to half the hardware threads
-// (clamped to [2, 8]); the flight recorder still captures shed,
-// protocol-error, drain, and backpressure events in these modes.
-//
-// --legacy-threads: revert to the thread-per-connection accept loop
-// (equivalent to --backend legacy); kept for one release as an escape
-// hatch.
-//
-// --probe-backend uring: capability probe — exit 0 when this kernel can
-// run the io_uring backend, 3 when it cannot.  CI uses this to decide
-// between running the uring suite and an explicit SKIP.
+// --reactor-threads N: event-loop workers (DESIGN.md §6h).  0 (the
+// default) means half the hardware threads, clamped to [2, 8].
 //
 // Observability plane (DESIGN.md §6g):
 //
@@ -110,7 +95,6 @@
 // the managed backbone matrix (the operator knows this).  Without it the
 // backbone is assumed free, which disables transit-path stitching but
 // keeps everything else working.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -132,7 +116,6 @@
 #include "rpc/admin_http.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
-#include "rpc/uring_reactor.h"
 
 namespace {
 
@@ -211,10 +194,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::thread::hardware_concurrency());
   BackboneTable backbone;
   ServerConfig server_config;
-  // Daemon default: event-driven serving (§6h) with half the hardware
-  // threads, clamped to [2, 8]; --legacy-threads restores the old model.
-  server_config.reactor_threads =
-      std::clamp(static_cast<int>(std::thread::hardware_concurrency()) / 2, 2, 8);
   bool metrics_dump = false;
   obs::StatsFormat metrics_format = obs::StatsFormat::Table;
   bool http_enabled = false;
@@ -260,28 +239,6 @@ int main(int argc, char** argv) {
         server_config.max_inflight = std::stoll(next());
       } else if (arg == "--reactor-threads") {
         server_config.reactor_threads = std::stoi(next());
-      } else if (arg == "--legacy-threads") {
-        server_config.reactor_threads = 0;
-        server_config.backend = ServingBackend::kLegacy;
-      } else if (arg == "--backend") {
-        const std::string mode = next();
-        if (mode == "legacy") {
-          server_config.backend = ServingBackend::kLegacy;
-          server_config.reactor_threads = 0;
-        } else if (mode == "epoll") {
-          server_config.backend = ServingBackend::kEpoll;
-        } else if (mode == "uring") {
-          server_config.backend = ServingBackend::kUring;
-        } else {
-          throw std::runtime_error("unknown backend: " + mode +
-                                   " (expected legacy|epoll|uring)");
-        }
-      } else if (arg == "--probe-backend") {
-        // Capability probe for CI: exit 0 when the named backend can run
-        // here, 3 when it cannot, without starting a server.
-        const std::string mode = next();
-        if (mode == "uring") return UringReactor::supported() ? 0 : 3;
-        return mode == "epoll" || mode == "legacy" ? 0 : 3;
       } else if (arg == "--write-buffer-cap") {
         server_config.write_buffer_cap = std::stoull(next());
       } else if (arg == "--replica-id") {
@@ -319,11 +276,8 @@ int main(int argc, char** argv) {
                      "                      [--refresh-hours T] [--backbone FILE]\n"
                      "                      [--stripes N] [--solve-threads N] [--no-prewarm]\n"
                      "                      [--max-resident-pairs N] [--pair-ttl PERIODS]\n"
-                     "                      [--max-inflight N]\n"
-                     "                      [--backend legacy|epoll|uring]\n"
-                     "                      [--write-buffer-cap BYTES]\n"
-                     "                      [--reactor-threads N] [--legacy-threads]\n"
-                     "                      [--probe-backend uring]\n"
+                     "                      [--max-inflight N] [--write-buffer-cap BYTES]\n"
+                     "                      [--reactor-threads N]\n"
                      "                      [--replica-id N] [--peers P1,P2,...]\n"
                      "                      [--ring-seed S] [--ring-epoch E]\n"
                      "                      [--gossip-period MS]\n"
@@ -420,8 +374,7 @@ int main(int argc, char** argv) {
            << ",\"mem_store_bytes\":" << mem.store_bytes
            << ",\"resident_pairs\":" << mem.resident_pairs
            << ",\"store_evictions\":" << mem.store_evictions
-           << ",\"serving_backend\":\"" << serving_backend_name(server.serving_backend())
-           << "\",\"backpressure_paused_conns\":" << server.backpressure_paused_conns()
+           << ",\"backpressure_paused_conns\":" << server.backpressure_paused_conns()
            << ",\"backpressure_pauses_total\":" << server.backpressure_pauses_total()
            << ",\"backpressure_queued_bytes\":" << server.backpressure_queued_bytes()
            << ",\"peak_conn_queued_bytes\":" << server.peak_conn_queued_bytes()
@@ -441,14 +394,8 @@ int main(int argc, char** argv) {
       std::cout << "admin http on 127.0.0.1:" << http->port()
                 << " (/metrics /healthz /varz /trace /flightrecord)\n";
     }
-    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " (";
-    if (server.serving_backend() != ServingBackend::kLegacy) {
-      std::cout << serving_backend_name(server.serving_backend()) << " reactor x"
-                << std::max(server_config.reactor_threads, 2);
-    } else {
-      std::cout << "thread-per-connection";
-    }
-    std::cout << ", metric "
+    std::cout << "via_controller listening on 127.0.0.1:" << server.port() << " (epoll reactor x"
+              << server.reactor_worker_connections().size() << ", metric "
               << metric_name(config.target) << ", epsilon " << config.epsilon << ", budget "
               << config.budget.fraction << ", refresh "
               << config.refresh_period / 3600 << "h, stripes "

@@ -25,7 +25,6 @@
 #include "rpc/server.h"
 #include "rpc/soak_driver.h"
 #include "rpc/socket.h"
-#include "rpc/uring_reactor.h"
 #include "util/rng.h"
 
 namespace via {
@@ -427,11 +426,8 @@ void append_frame(std::vector<std::byte>& out, MsgType type, const WireWriter& w
 }
 
 /// Reactor serving throughput (DESIGN.md §6h/§6j): one warmed ViaPolicy
-/// behind an event-driven backend (2 event-loop workers), hammered by raw
-/// pipelined connections.  The sweep runs once per backend — epoll rows
-/// keep their original `reactor_choose_rps_<n>c` names (comparable across
-/// PRs), io_uring rows get a `_uring` suffix and are skipped (with a
-/// message) on kernels without io_uring support.
+/// behind the epoll reactor (2 event-loop workers), hammered by raw
+/// pipelined connections.
 ///
 /// The 64/256/1024-connection points run in-process: the client side is
 /// capped at 8 driver threads regardless of the connection count, so the
@@ -447,7 +443,7 @@ void append_frame(std::vector<std::byte>& out, MsgType type, const WireWriter& w
 /// matching threshold rows live in `_optional`, so a missing key reads as
 /// an explicit SKIP, not a silent pass.
 ///
-/// Emits reactor_choose_rps_{64,256,1024,4096,10240}c[_uring]
+/// Emits reactor_choose_rps_{64,256,1024,4096,10240}c
 /// (requests/sec) into BENCH_core.json; set VIA_BENCH_REACTOR=off to skip.
 void run_reactor_bench(bench::BenchJson& json) {
   const char* env = std::getenv("VIA_BENCH_REACTOR");
@@ -482,118 +478,103 @@ void run_reactor_bench(bench::BenchJson& json) {
   policy.refresh(kSecondsPerDay);
 
   constexpr int kDepth = 8;
-  for (const ServingBackend backend : {ServingBackend::kEpoll, ServingBackend::kUring}) {
-    if (backend == ServingBackend::kUring && !UringReactor::supported()) {
-      std::cout << "reactor choose: io_uring unsupported on this kernel, "
-                   "skipping _uring rows\n";
-      continue;
+  ServerConfig sconfig;
+  sconfig.reactor_threads = 2;
+  sconfig.drain_timeout_ms = 1000;
+  ControllerServer server(policy, 0, sconfig);
+  server.start();
+
+  for (const int conns : {64, 256, 1024}) {
+    const int rounds = std::max(1, 32768 / (conns * kDepth));
+    std::vector<TcpConnection> sockets;
+    sockets.reserve(static_cast<std::size_t>(conns));
+    for (int c = 0; c < conns; ++c) {
+      sockets.push_back(TcpConnection::connect_local(server.port()));
     }
-    const std::string suffix =
-        backend == ServingBackend::kUring ? std::string("c_uring") : std::string("c");
 
-    ServerConfig sconfig;
-    sconfig.backend = backend;
-    sconfig.reactor_threads = 2;
-    sconfig.drain_timeout_ms = 1000;
-    ControllerServer server(policy, 0, sconfig);
-    server.start();
-
-    for (const int conns : {64, 256, 1024}) {
-      const int rounds = std::max(1, 32768 / (conns * kDepth));
-      std::vector<TcpConnection> sockets;
-      sockets.reserve(static_cast<std::size_t>(conns));
-      for (int c = 0; c < conns; ++c) {
-        sockets.push_back(TcpConnection::connect_local(server.port()));
+    // Pre-encode one burst per connection (outside the timed region) so
+    // the drivers measure serving throughput, not client-side encoding.
+    std::vector<std::vector<std::byte>> bursts(static_cast<std::size_t>(conns));
+    Rng creq(17);
+    for (int c = 0; c < conns; ++c) {
+      for (int k = 0; k < kDepth; ++k) {
+        const auto s = static_cast<AsId>(creq.uniform_index(100));
+        const auto d = static_cast<AsId>((s + 1 + creq.uniform_index(99)) % 100);
+        DecisionRequest req;
+        req.call_id = 3'000'000 + static_cast<CallId>(c) * 1000 + k;
+        req.time = kSecondsPerDay + 100;
+        req.src_as = s;
+        req.dst_as = d;
+        const auto cand = gt.candidate_options(s, d);
+        req.options.assign(cand.begin(), cand.end());
+        WireWriter w;
+        req.encode(w);
+        append_frame(bursts[static_cast<std::size_t>(c)], MsgType::DecisionRequest, w);
       }
+    }
 
-      // Pre-encode one burst per connection (outside the timed region) so
-      // the drivers measure serving throughput, not client-side encoding.
-      std::vector<std::vector<std::byte>> bursts(static_cast<std::size_t>(conns));
-      Rng creq(17);
-      for (int c = 0; c < conns; ++c) {
-        for (int k = 0; k < kDepth; ++k) {
-          const auto s = static_cast<AsId>(creq.uniform_index(100));
-          const auto d = static_cast<AsId>((s + 1 + creq.uniform_index(99)) % 100);
-          DecisionRequest req;
-          req.call_id = 3'000'000 + static_cast<CallId>(c) * 1000 + k;
-          req.time = kSecondsPerDay + 100;
-          req.src_as = s;
-          req.dst_as = d;
-          const auto cand = gt.candidate_options(s, d);
-          req.options.assign(cand.begin(), cand.end());
-          WireWriter w;
-          req.encode(w);
-          append_frame(bursts[static_cast<std::size_t>(c)], MsgType::DecisionRequest, w);
-        }
-      }
-
-      const int drivers = std::min(8, conns);
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(drivers));
-      const bench::Stopwatch sw;
-      for (int t = 0; t < drivers; ++t) {
-        threads.emplace_back([&, t] {
-          std::vector<std::byte> reply;
-          for (int r = 0; r < rounds; ++r) {
-            for (int c = t; c < conns; c += drivers) {
-              sockets[static_cast<std::size_t>(c)].send_all(bursts[static_cast<std::size_t>(c)]);
-            }
-            for (int c = t; c < conns; c += drivers) {
-              auto& conn = sockets[static_cast<std::size_t>(c)];
-              for (int k = 0; k < kDepth; ++k) {
-                std::byte header[5];
-                if (!conn.recv_all(header)) return;
-                std::uint32_t len = 0;
-                for (int i = 0; i < 4; ++i) {
-                  len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-                }
-                reply.resize(len);
-                if (len > 0 && !conn.recv_all(reply)) return;
+    const int drivers = std::min(8, conns);
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(drivers));
+    const bench::Stopwatch sw;
+    for (int t = 0; t < drivers; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::byte> reply;
+        for (int r = 0; r < rounds; ++r) {
+          for (int c = t; c < conns; c += drivers) {
+            sockets[static_cast<std::size_t>(c)].send_all(bursts[static_cast<std::size_t>(c)]);
+          }
+          for (int c = t; c < conns; c += drivers) {
+            auto& conn = sockets[static_cast<std::size_t>(c)];
+            for (int k = 0; k < kDepth; ++k) {
+              std::byte header[5];
+              if (!conn.recv_all(header)) return;
+              std::uint32_t len = 0;
+              for (int i = 0; i < 4; ++i) {
+                len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
               }
+              reply.resize(len);
+              if (len > 0 && !conn.recv_all(reply)) return;
             }
           }
-        });
-      }
-      for (auto& th : threads) th.join();
-      const double seconds = sw.seconds();
-      const auto total = static_cast<double>(conns) * kDepth * rounds;
-      const double rps = seconds > 0.0 ? total / seconds : 0.0;
-      std::cout << "reactor choose [" << serving_backend_name(backend) << "]: " << conns
-                << " conns, " << static_cast<long long>(total) << " requests, " << rps
-                << " req/s\n";
-      json.set("reactor_choose_rps_" + std::to_string(conns) + suffix, rps);
-      // Close client ends before the next sweep point so stop() never waits
-      // out the drain timeout on idle connections.
-      sockets.clear();
+        }
+      });
     }
-
-    for (const int conns : {4096, 10240}) {
-      if (small) {
-        std::cout << "reactor choose [" << serving_backend_name(backend) << "]: " << conns
-                  << " conns SKIPPED (VIA_BENCH_SWEEP_SCALE=small)\n";
-        continue;
-      }
-      SoakConfig soak;
-      soak.port = server.port();
-      soak.connections = conns;
-      soak.depth = kDepth;
-      soak.rounds = std::max(2, 262'144 / (conns * kDepth));
-      soak.threads = 8;
-      std::string spawn_error;
-      const auto result = spawn_soak(soak, &spawn_error);
-      if (!result.has_value() || !result->ok) {
-        std::cout << "reactor choose [" << serving_backend_name(backend) << "]: " << conns
-                  << " conns soak FAILED: "
-                  << (result.has_value() ? result->error : spawn_error) << "\n";
-        continue;
-      }
-      std::cout << "reactor choose [" << serving_backend_name(backend) << "]: " << conns
-                << " conns, " << result->received << " requests, " << result->rps
-                << " req/s (child driver)\n";
-      json.set("reactor_choose_rps_" + std::to_string(conns) + suffix, result->rps);
-    }
-    server.stop();
+    for (auto& th : threads) th.join();
+    const double seconds = sw.seconds();
+    const auto total = static_cast<double>(conns) * kDepth * rounds;
+    const double rps = seconds > 0.0 ? total / seconds : 0.0;
+    std::cout << "reactor choose: " << conns << " conns, " << static_cast<long long>(total)
+              << " requests, " << rps << " req/s\n";
+    json.set("reactor_choose_rps_" + std::to_string(conns) + "c", rps);
+    // Close client ends before the next sweep point so stop() never waits
+    // out the drain timeout on idle connections.
+    sockets.clear();
   }
+
+  for (const int conns : {4096, 10240}) {
+    if (small) {
+      std::cout << "reactor choose: " << conns << " conns SKIPPED (VIA_BENCH_SWEEP_SCALE=small)\n";
+      continue;
+    }
+    SoakConfig soak;
+    soak.port = server.port();
+    soak.connections = conns;
+    soak.depth = kDepth;
+    soak.rounds = std::max(2, 262'144 / (conns * kDepth));
+    soak.threads = 8;
+    std::string spawn_error;
+    const auto result = spawn_soak(soak, &spawn_error);
+    if (!result.has_value() || !result->ok) {
+      std::cout << "reactor choose: " << conns << " conns soak FAILED: "
+                << (result.has_value() ? result->error : spawn_error) << "\n";
+      continue;
+    }
+    std::cout << "reactor choose: " << conns << " conns, " << result->received << " requests, "
+              << result->rps << " req/s (child driver)\n";
+    json.set("reactor_choose_rps_" + std::to_string(conns) + "c", result->rps);
+  }
+  server.stop();
 }
 
 /// Federation failover latency (DESIGN.md §6k): a 2-replica in-process

@@ -17,32 +17,30 @@
 
 namespace via {
 
-// ---------------------------------------------------------------------------
-// ReactorBase: machinery shared by the epoll and io_uring backends.
-
-ReactorBase::ReactorBase(TcpListener& listener, FrameHandler on_frames,
-                         ProtocolErrorHandler on_protocol_error, ReactorConfig config,
-                         ReactorHooks hooks)
+Reactor::Reactor(TcpListener& listener, FrameHandler on_frames,
+                 ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks)
     : listener_(&listener),
       on_frames_(std::move(on_frames)),
       on_protocol_error_(std::move(on_protocol_error)),
       config_(config),
       hooks_(std::move(hooks)) {}
 
-std::size_t ReactorBase::queued_bytes() const noexcept {
+Reactor::~Reactor() { stop(); }
+
+std::size_t Reactor::queued_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& q : worker_queued_) total += q.load(std::memory_order_relaxed);
   return total;
 }
 
-std::vector<std::size_t> ReactorBase::worker_connection_counts() const {
+std::vector<std::size_t> Reactor::worker_connection_counts() const {
   std::vector<std::size_t> counts;
   counts.reserve(worker_loads_.size());
   for (const auto& load : worker_loads_) counts.push_back(load.load(std::memory_order_relaxed));
   return counts;
 }
 
-std::size_t ReactorBase::pick_worker() {
+std::size_t Reactor::pick_worker() {
   // Only the acceptor thread picks, so a plain scan is race-free; the
   // loads themselves are atomics because workers decrement them on close.
   std::size_t best = 0;
@@ -58,7 +56,7 @@ std::size_t ReactorBase::pick_worker() {
   return best;
 }
 
-void ReactorBase::sync_queued(ReactorConn& conn) {
+void Reactor::sync_queued(ReactorConn& conn) {
   const std::size_t now = conn.out_.approx_bytes();
   if (now != conn.accounted_out_) {
     auto& agg = worker_queued_[conn.worker_idx_];
@@ -75,7 +73,7 @@ void ReactorBase::sync_queued(ReactorConn& conn) {
   }
 }
 
-bool ReactorBase::over_high_water(const ReactorConn& conn) const noexcept {
+bool Reactor::over_high_water(const ReactorConn& conn) const noexcept {
   if (config_.write_buffer_cap > 0 && conn.out_.approx_bytes() >= config_.write_buffer_cap) {
     return true;
   }
@@ -84,7 +82,7 @@ bool ReactorBase::over_high_water(const ReactorConn& conn) const noexcept {
              config_.worker_write_cap;
 }
 
-bool ReactorBase::under_low_water(const ReactorConn& conn) const noexcept {
+bool Reactor::under_low_water(const ReactorConn& conn) const noexcept {
   if (config_.write_buffer_cap > 0 && conn.out_.approx_bytes() > config_.write_buffer_cap / 2) {
     return false;
   }
@@ -93,13 +91,13 @@ bool ReactorBase::under_low_water(const ReactorConn& conn) const noexcept {
              config_.worker_write_cap / 2;
 }
 
-bool ReactorBase::aggregate_wants_sweep(std::size_t worker_idx) const noexcept {
+bool Reactor::aggregate_wants_sweep(std::size_t worker_idx) const noexcept {
   return config_.worker_write_cap == 0 ||
          worker_queued_[worker_idx].load(std::memory_order_relaxed) <=
              config_.worker_write_cap / 2;
 }
 
-void ReactorBase::mark_paused(ReactorConn& conn) {
+void Reactor::mark_paused(ReactorConn& conn) {
   if (conn.paused_) return;
   conn.paused_ = true;
   paused_conns_.fetch_add(1, std::memory_order_relaxed);
@@ -107,14 +105,14 @@ void ReactorBase::mark_paused(ReactorConn& conn) {
   if (hooks_.on_pause) hooks_.on_pause(conn.fd(), conn.out_.approx_bytes());
 }
 
-void ReactorBase::mark_resumed(ReactorConn& conn) {
+void Reactor::mark_resumed(ReactorConn& conn) {
   if (!conn.paused_) return;
   conn.paused_ = false;
   paused_conns_.fetch_sub(1, std::memory_order_relaxed);
   if (hooks_.on_resume) hooks_.on_resume(conn.fd(), conn.out_.approx_bytes());
 }
 
-bool ReactorBase::decode_frames(ReactorConn& conn) {
+bool Reactor::decode_frames(ReactorConn& conn) {
   const std::size_t before = conn.batch_.size();
   bool ok = true;
   try {
@@ -133,7 +131,7 @@ bool ReactorBase::decode_frames(ReactorConn& conn) {
   return ok;
 }
 
-ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
+Reactor::ServeStatus Reactor::serve_batch(ReactorConn& conn) {
   while (conn.batch_pos_ < conn.batch_.size()) {
     const std::span<Frame> rest(conn.batch_.data() + conn.batch_pos_,
                                 conn.batch_.size() - conn.batch_pos_);
@@ -174,7 +172,7 @@ ReactorBase::ServeStatus ReactorBase::serve_batch(ReactorConn& conn) {
   return ServeStatus::kDone;
 }
 
-void ReactorBase::conn_closed(ReactorConn& conn) {
+void Reactor::conn_closed(ReactorConn& conn) {
   const std::size_t dropped = conn.batch_.size() - conn.batch_pos_;
   if (dropped > 0 && hooks_.on_dropped) hooks_.on_dropped(dropped);
   conn.batch_.clear();
@@ -196,16 +194,6 @@ void ReactorBase::conn_closed(ReactorConn& conn) {
   }
   stop_cv_.notify_all();
 }
-
-// ---------------------------------------------------------------------------
-// Reactor: the epoll backend.
-
-Reactor::Reactor(TcpListener& listener, FrameHandler on_frames,
-                 ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks)
-    : ReactorBase(listener, std::move(on_frames), std::move(on_protocol_error), config,
-                  std::move(hooks)) {}
-
-Reactor::~Reactor() { stop(); }
 
 void Reactor::start() {
   if (started_) return;

@@ -1,13 +1,12 @@
-// Event-driven connection reactors (DESIGN.md §6h, §6j): the epoll backend
-// and the shared machinery it splits with the io_uring backend
-// (uring_reactor.h).
+// Event-driven connection reactor (DESIGN.md §6h, §6j): the controller's
+// one serving engine, built on level-triggered epoll.
 //
-// A small fixed pool of event-loop workers each owns an event instance
-// (epoll fd or io_uring ring); accepted connections are pinned at accept
-// time to the worker with the fewest live connections and stay pinned for
-// their whole life, so every connection's reads, handler calls, and writes
-// happen on exactly one thread and per-connection state needs no locking.
-// Worker 0 additionally owns the (non-blocking) listener.
+// A small fixed pool of event-loop workers each owns an epoll instance;
+// accepted connections are pinned at accept time to the worker with the
+// fewest live connections and stay pinned for their whole life, so every
+// connection's reads, handler calls, and writes happen on exactly one
+// thread and per-connection state needs no locking.  Worker 0 additionally
+// owns the (non-blocking) listener.
 //
 // Each wakeup runs two phases over the ready set:
 //   1. drain: recv into every readable connection's ReadBuffer and decode
@@ -21,12 +20,11 @@
 // Backpressure: when a connection's queued reply bytes reach
 // `write_buffer_cap` (or the worker's aggregate reaches
 // `worker_write_cap`), the reactor pauses the connection — read interest is
-// disarmed (epoll) or the recv is not resubmitted (io_uring), and the frame
-// handler may stop mid-batch by returning a partial consumed count; the
-// remainder is redispatched once the socket drains below the low-water
-// mark (half the cap).  The queue can still overshoot the cap by at most
-// one reply frame, because the cap is checked between frames, never
-// mid-frame.
+// disarmed, and the frame handler may stop mid-batch by returning a
+// partial consumed count; the remainder is redispatched once the socket
+// drains below the low-water mark (half the cap).  The queue can still
+// overshoot the cap by at most one reply frame, because the cap is checked
+// between frames, never mid-frame.
 //
 // stop() drains gracefully: deregister the listener, keep serving until
 // every connection closes or drain_timeout_ms passes, then force-close the
@@ -52,8 +50,6 @@
 namespace via {
 
 class Reactor;
-class UringReactor;
-class ReactorBase;
 
 /// One reactor-owned client connection.  Frame handlers interact with it
 /// only through send(), close_after_flush(), and the write-pressure
@@ -90,8 +86,6 @@ class ReactorConn {
 
  private:
   friend class Reactor;
-  friend class UringReactor;
-  friend class ReactorBase;
   explicit ReactorConn(FdHandle fd) noexcept : fd_(std::move(fd)) {}
 
   FdHandle fd_;
@@ -109,12 +103,7 @@ class ReactorConn {
   bool dead_ = false;            ///< closed this round; object parked in the graveyard
   bool paused_ = false;          ///< read interest withheld by backpressure
   bool agg_listed_ = false;      ///< on the worker's aggregate sweep list
-  std::uint32_t interest_ = 0;   ///< epoll event mask currently registered (epoll backend)
-  // io_uring backend bookkeeping (unused by epoll):
-  std::uint32_t gen_ = 0;        ///< generation tag carried in op user_data
-  int inflight_ops_ = 0;         ///< kernel ops referencing this conn's buffers
-  bool recv_armed_ = false;      ///< a recv op is in flight
-  bool send_armed_ = false;      ///< a send op is in flight
+  std::uint32_t interest_ = 0;   ///< epoll event mask currently registered
 };
 
 struct ReactorConfig {
@@ -153,10 +142,8 @@ struct ReactorHooks {
   std::function<void(int fd, std::size_t queued)> on_resume;
 };
 
-/// Machinery shared by the epoll and io_uring backends: configuration,
-/// dispatch with partial consumption, least-connections pinning, and the
-/// backpressure/stat accounting.  Backends implement the event loop.
-class ReactorBase {
+/// The serving reactor: a fixed pool of epoll event-loop workers.
+class Reactor {
  public:
   /// Invoked with the not-yet-consumed suffix of a connection's decoded
   /// batch; returns how many frames it consumed (replies go through
@@ -171,16 +158,20 @@ class ReactorBase {
   /// closes the connection after flushing it.
   using ProtocolErrorHandler = std::function<void(ReactorConn&, const ProtocolError&)>;
 
-  virtual ~ReactorBase() = default;
+  /// The listener must outlive the reactor; start() switches it (and every
+  /// accepted connection) to non-blocking mode.
+  Reactor(TcpListener& listener, FrameHandler on_frames, ProtocolErrorHandler on_protocol_error,
+          ReactorConfig config = {}, ReactorHooks hooks = {});
+  ~Reactor();
 
-  ReactorBase(const ReactorBase&) = delete;
-  ReactorBase& operator=(const ReactorBase&) = delete;
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
 
-  virtual void start() = 0;
+  void start();
   /// Graceful drain (idempotent): stop accepting, serve until every
   /// connection closes or drain_timeout_ms passes, force-close the rest,
   /// join the workers.
-  virtual void stop() = 0;
+  void stop();
 
   /// Live connections across all workers.
   [[nodiscard]] std::size_t connection_count() const noexcept {
@@ -204,9 +195,23 @@ class ReactorBase {
   /// Live connections per worker (least-connections pinning visibility).
   [[nodiscard]] std::vector<std::size_t> worker_connection_counts() const;
 
- protected:
-  ReactorBase(TcpListener& listener, FrameHandler on_frames,
-              ProtocolErrorHandler on_protocol_error, ReactorConfig config, ReactorHooks hooks);
+ private:
+  struct Worker {
+    FdHandle epoll;
+    FdHandle wake;  ///< eventfd: new pinned connections, drain/stop signals
+    std::thread thread;
+    std::size_t index = 0;
+    /// All of the below are touched only by the worker's own thread.
+    std::unordered_map<int, std::unique_ptr<ReactorConn>> conns;
+    std::vector<std::unique_ptr<ReactorConn>> graveyard;  ///< cleared at end of round
+    /// Connections paused by the worker-aggregate cap while fully drained
+    /// (no EPOLLOUT will wake them); sweep_paused() resumes from here.
+    std::vector<int> agg_paused_fds;
+    bool listener_registered = false;
+    /// Connections accepted by worker 0 but pinned here; guarded by mutex.
+    std::mutex pending_mutex;
+    std::vector<int> pending;
+  };
 
   enum class ServeStatus {
     kDone,     ///< batch fully consumed (conn may still be closing)
@@ -241,72 +246,14 @@ class ReactorBase {
   void mark_paused(ReactorConn& conn);
   void mark_resumed(ReactorConn& conn);
 
-  /// Shared close-side bookkeeping: drops unserved frames (on_dropped),
-  /// resumes pause accounting, uncharges the aggregate, decrements the
-  /// worker load and the global count, and signals stop().
+  /// Close-side bookkeeping: drops unserved frames (on_dropped), resumes
+  /// pause accounting, uncharges the aggregate, decrements the worker load
+  /// and the global count, and signals stop().
   void conn_closed(ReactorConn& conn);
 
   /// True when the worker's aggregate just fell back under low water while
-  /// some of its connections are paused — the backend should sweep them.
+  /// some of its connections are paused — time to sweep them.
   [[nodiscard]] bool aggregate_wants_sweep(std::size_t worker_idx) const noexcept;
-
-  TcpListener* listener_;
-  FrameHandler on_frames_;
-  ProtocolErrorHandler on_protocol_error_;
-  ReactorConfig config_;
-  ReactorHooks hooks_;
-
-  std::atomic<std::size_t> conn_count_{0};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> force_close_{false};
-  std::atomic<bool> stopping_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;  ///< signaled as connections close
-  bool started_ = false;
-
-  /// Per-worker live-connection counters (least-connections pinning) and
-  /// queued-reply aggregates; sized by start().
-  std::vector<std::atomic<std::size_t>> worker_loads_;
-  std::vector<std::atomic<std::size_t>> worker_queued_;
-
- private:
-  std::atomic<std::size_t> paused_conns_{0};
-  std::atomic<std::uint64_t> pauses_total_{0};
-  std::atomic<std::size_t> peak_conn_queued_{0};
-};
-
-/// The epoll backend (DESIGN.md §6h).
-class Reactor : public ReactorBase {
- public:
-  using FrameHandler = ReactorBase::FrameHandler;
-  using ProtocolErrorHandler = ReactorBase::ProtocolErrorHandler;
-
-  /// The listener must outlive the reactor; start() switches it (and every
-  /// accepted connection) to non-blocking mode.
-  Reactor(TcpListener& listener, FrameHandler on_frames, ProtocolErrorHandler on_protocol_error,
-          ReactorConfig config = {}, ReactorHooks hooks = {});
-  ~Reactor() override;
-
-  void start() override;
-  void stop() override;
-
- private:
-  struct Worker {
-    FdHandle epoll;
-    FdHandle wake;  ///< eventfd: new pinned connections, drain/stop signals
-    std::thread thread;
-    std::size_t index = 0;
-    /// All of the below are touched only by the worker's own thread.
-    std::unordered_map<int, std::unique_ptr<ReactorConn>> conns;
-    std::vector<std::unique_ptr<ReactorConn>> graveyard;  ///< cleared at end of round
-    /// Connections paused by the worker-aggregate cap while fully drained
-    /// (no EPOLLOUT will wake them); sweep_paused() resumes from here.
-    std::vector<int> agg_paused_fds;
-    bool listener_registered = false;
-    /// Connections accepted by worker 0 but pinned here; guarded by mutex.
-    std::mutex pending_mutex;
-    std::vector<int> pending;
-  };
 
   void worker_loop(Worker& worker);
   void accept_ready(Worker& worker);
@@ -332,6 +279,28 @@ class Reactor : public ReactorBase {
   void update_interest(Worker& worker, ReactorConn& conn, bool want_write);
   void conn_failure(Worker& worker, ReactorConn& conn);
   void wake_all();
+
+  TcpListener* listener_;
+  FrameHandler on_frames_;
+  ProtocolErrorHandler on_protocol_error_;
+  ReactorConfig config_;
+  ReactorHooks hooks_;
+
+  std::atomic<std::size_t> conn_count_{0};
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> force_close_{false};
+  std::atomic<bool> stopping_{false};
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;  ///< signaled as connections close
+  bool started_ = false;
+
+  /// Per-worker live-connection counters (least-connections pinning) and
+  /// queued-reply aggregates; sized by start().
+  std::vector<std::atomic<std::size_t>> worker_loads_;
+  std::vector<std::atomic<std::size_t>> worker_queued_;
+  std::atomic<std::size_t> paused_conns_{0};
+  std::atomic<std::uint64_t> pauses_total_{0};
+  std::atomic<std::size_t> peak_conn_queued_{0};
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };

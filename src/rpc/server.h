@@ -1,14 +1,12 @@
-// Controller server: hosts a RoutingPolicy behind the TCP protocol, in one
-// of two serving modes.  The legacy mode spawns one handler thread per
-// client connection (fine for tens of clients), reaped as clients
-// disconnect.  The reactor mode (§6h, ServerConfig::reactor_threads > 0)
-// serves all connections from a small epoll worker pool with per-connection
-// buffers and incremental frame decode — runs of DecisionRequests decoded
-// from one readiness event are answered through RoutingPolicy::choose_batch
-// under a single policy-lock acquire.  Either way the policy sits behind a
-// reader-writer lock: when the policy declares itself concurrent-safe
-// (ViaPolicy does — see RoutingPolicy::concurrent_safe()), decision and
-// report handlers take the lock shared, so clients are served in parallel.
+// Controller server: hosts a RoutingPolicy behind the TCP protocol.  Every
+// connection is served by the epoll reactor (§6h, rpc/reactor.h): a small
+// pool of event-loop workers with per-connection buffers and incremental
+// frame decode — runs of DecisionRequests decoded from one readiness event
+// are answered through RoutingPolicy::choose_batch under a single
+// policy-lock acquire.  The policy sits behind a reader-writer lock: when
+// the policy declares itself concurrent-safe (ViaPolicy does — see
+// RoutingPolicy::concurrent_safe()), decision and report handlers take the
+// lock shared, so workers serve their connections in parallel.
 //
 // The periodic model rebuild runs off the serving path (DESIGN.md §6e): a
 // Refresh message is handed to a dedicated builder thread that drives the
@@ -19,7 +17,7 @@
 // rpc.server.refresh_stall_us histogram, so the serving stall a refresh
 // actually causes is visible in GetStats.  A policy without the
 // concurrent-safe capability keeps the classic coarse exclusive refresh()
-// in the handler thread (still timed into the same histogram).
+// on the serving worker (still timed into the same histogram).
 #pragma once
 
 #include <atomic>
@@ -28,8 +26,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
@@ -42,30 +38,18 @@
 #include "obs/timeseries.h"
 #include "obs/timer.h"
 #include "rpc/messages.h"
+#include "rpc/reactor.h"
 #include "rpc/socket.h"
 
 namespace via {
 
-/// Serving backend (§6h, §6j).  Legacy is thread-per-connection; Epoll and
-/// Uring are the event-driven reactors sharing one dispatch seam.
+/// Serving engine.  epoll is the only one; the enum survives because
+/// callers (viabench/serve.cpp) still name ServingBackend::kEpoll.
 enum class ServingBackend : std::uint8_t {
-  kLegacy = 0,
   kEpoll = 1,
-  kUring = 2,
 };
 
-[[nodiscard]] constexpr const char* serving_backend_name(ServingBackend b) noexcept {
-  switch (b) {
-    case ServingBackend::kEpoll:
-      return "epoll";
-    case ServingBackend::kUring:
-      return "uring";
-    default:
-      return "legacy";
-  }
-}
-
-/// Robustness knobs (DESIGN.md §6f).  The defaults keep the legacy
+/// Robustness knobs (DESIGN.md §6f).  The defaults keep the pre-§6f
 /// behavior except for dedup, which is invisible to well-behaved clients.
 struct ServerConfig {
   /// Overload shedding: when more than this many requests are being served
@@ -74,8 +58,8 @@ struct ServerConfig {
   /// Shutdown are always served (operators need them most under load).
   /// 0 disables shedding.
   std::int64_t max_inflight = 0;
-  /// stop() lets in-flight connections finish for this long, then forces
-  /// the stragglers' sockets shut (their handlers exit on the read error).
+  /// stop() lets in-flight connections finish for this long, then
+  /// force-closes the stragglers.
   int drain_timeout_ms = 5000;
   /// Report idempotency window: the ids of the most recent N distinct
   /// observations; a retried Report whose observation is still in the
@@ -97,23 +81,17 @@ struct ServerConfig {
   /// registry.  0 disables the ticker.
   int timeseries_window_ms = 0;
 
-  /// Serving mode (§6h).  > 0: event-driven reactor with this many
-  /// worker threads (connections pinned to the least-loaded worker at
-  /// accept); 0 (the default): legacy thread-per-connection unless
-  /// `backend` selects a reactor (which then defaults to 2 workers).
-  /// The controller daemon defaults to the reactor (`--reactor-threads`);
-  /// `--legacy-threads` keeps the old model for one release.
+  /// Reactor worker threads (§6h); connections are pinned to the
+  /// least-loaded worker at accept.  0 (the default) means half the
+  /// hardware threads, clamped to [2, 8] — what the controller daemon runs.
   int reactor_threads = 0;
 
-  /// Which serving backend to run (§6j).  kLegacy with reactor_threads >
-  /// 0 means epoll, preserving the pre-backend-knob behavior.  kUring
-  /// falls back to epoll at start() when the kernel lacks io_uring
-  /// (serving_backend() reports what actually runs).
-  ServingBackend backend = ServingBackend::kLegacy;
-  /// Per-connection queued-reply byte cap for the event-driven backends
-  /// (0 disables backpressure): a connection at the cap stops being read
-  /// until its socket drains below half the cap.  The queue can overshoot
-  /// by at most one reply frame.
+  /// Selects nothing: epoll serves every connection.  Kept so callers that
+  /// set it (viabench/serve.cpp) still compile.
+  ServingBackend backend = ServingBackend::kEpoll;
+  /// Per-connection queued-reply byte cap (0 disables backpressure): a
+  /// connection at the cap stops being read until its socket drains below
+  /// half the cap.  The queue can overshoot by at most one reply frame.
   std::size_t write_buffer_cap = 4 * 1024 * 1024;
   /// Aggregate queued-reply cap per reactor worker (0 disables); bounds
   /// total reply RSS when many connections stall at once.
@@ -127,10 +105,6 @@ struct ServerConfig {
   std::uint64_t ring_epoch = 0;
 };
 
-class ReactorBase;
-class ReactorConn;
-struct Frame;
-
 class ControllerServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = ephemeral).  The policy must outlive
@@ -143,7 +117,7 @@ class ControllerServer {
   ControllerServer(const ControllerServer&) = delete;
   ControllerServer& operator=(const ControllerServer&) = delete;
 
-  /// Starts the accept loop in a background thread.
+  /// Starts the reactor workers (and the refresh builder).
   void start();
 
   /// Stops accepting, closes connections, and joins all threads.
@@ -163,24 +137,31 @@ class ControllerServer {
   [[nodiscard]] std::int64_t duplicate_refreshes() const noexcept {
     return tel_dup_refreshes_->value();
   }
-  /// Live handler threads (connections not yet reaped); for tests and
-  /// diagnostics.
-  [[nodiscard]] std::size_t active_handlers() const;
+  /// Live client connections; for tests and diagnostics.
+  [[nodiscard]] std::size_t active_handlers() const noexcept {
+    return reactor_.connection_count();
+  }
 
-  /// Backend actually serving after start(): reflects the epoll fallback
-  /// when kUring was requested on a kernel without io_uring.
-  [[nodiscard]] ServingBackend serving_backend() const noexcept { return active_backend_; }
-
-  /// Backpressure observability (§6j); all zero under the legacy backend
-  /// or before start().
-  [[nodiscard]] std::size_t backpressure_paused_conns() const noexcept;
-  [[nodiscard]] std::uint64_t backpressure_pauses_total() const noexcept;
-  [[nodiscard]] std::size_t backpressure_queued_bytes() const noexcept;
+  /// Backpressure observability (§6j); all zero before start().
+  [[nodiscard]] std::size_t backpressure_paused_conns() const noexcept {
+    return reactor_.paused_connections();
+  }
+  [[nodiscard]] std::uint64_t backpressure_pauses_total() const noexcept {
+    return reactor_.pauses_total();
+  }
+  [[nodiscard]] std::size_t backpressure_queued_bytes() const noexcept {
+    return reactor_.queued_bytes();
+  }
   /// High-water mark of any single connection's write queue — the bound
   /// the soak asserts against (cap + one reply frame).
-  [[nodiscard]] std::size_t peak_conn_queued_bytes() const noexcept;
-  /// Live connections per reactor worker (least-connections pinning).
-  [[nodiscard]] std::vector<std::size_t> reactor_worker_connections() const;
+  [[nodiscard]] std::size_t peak_conn_queued_bytes() const noexcept {
+    return reactor_.peak_conn_queued_bytes();
+  }
+  /// Live connections per reactor worker (least-connections pinning); one
+  /// entry per worker once started, empty before the first start().
+  [[nodiscard]] std::vector<std::size_t> reactor_worker_connections() const {
+    return reactor_.worker_connection_counts();
+  }
 
   /// The server's (and hosted policy's) telemetry.
   [[nodiscard]] obs::Telemetry& telemetry() noexcept { return telemetry_; }
@@ -201,18 +182,13 @@ class ControllerServer {
   [[nodiscard]] obs::TimeSeries timeseries() const;
 
  private:
-  /// Destination-agnostic reply channel: the legacy path writes frames
-  /// straight to the socket, the reactor path queues them on the
-  /// connection's WriteBuffer.  Lets both serving modes share one request
-  /// switch (dispatch_frame).
-  struct ReplySink;
-
-  void accept_loop();
-  void handle_connection(TcpConnection conn);
-  /// Serves one decoded request frame (the protocol switch shared by both
-  /// serving modes).  Returns false on Shutdown — the caller closes the
+  /// The reactor's host callbacks: accept/error counters, inflight
+  /// accounting, drain and backpressure instruments.
+  ReactorHooks reactor_hooks();
+  /// Serves one decoded request frame (the protocol switch), queueing the
+  /// reply on `conn`.  Returns false on Shutdown — the caller closes the
   /// connection.  Throws ProtocolError on malformed payloads.
-  bool dispatch_frame(const Frame& frame, ReplySink& sink);
+  bool dispatch_frame(const Frame& frame, ReactorConn& conn);
   /// Reactor frame handler: serves a connection's decoded batch, shedding
   /// past the inflight cap and batching runs of DecisionRequests through
   /// choose_batch when tracing and shedding are off.  Returns the number
@@ -222,16 +198,14 @@ class ControllerServer {
   std::size_t handle_reactor_frames(ReactorConn& conn, std::span<Frame> frames);
   /// One policy-lock acquire and one snapshot pin for a whole run of
   /// DecisionRequests decoded from a single readiness event (§6h).
-  void process_decision_batch(std::span<Frame> frames, ReplySink& sink);
+  void process_decision_batch(std::span<Frame> frames, ReactorConn& conn);
   /// Decode-time protocol violation on a reactor connection (oversized
   /// frame): error reply + accounting; the reactor closes after flushing.
   void reactor_protocol_error(ReactorConn& conn, const ProtocolError& e);
-  void send_busy(ReplySink& sink, std::uint8_t frame_type, std::int64_t inflight_now);
-  void send_protocol_error(ReplySink& sink, std::uint8_t frame_type, const ProtocolError& e);
+  void send_busy(ReactorConn& conn, std::uint8_t frame_type, std::int64_t inflight_now);
+  void send_protocol_error(ReactorConn& conn, std::uint8_t frame_type, const ProtocolError& e);
   /// Settles inflight accounting for `n` requests decoded by the reactor.
   void note_requests_done(std::size_t n);
-  /// Joins handler threads whose connections have finished.
-  void reap_finished();
   /// Records an observation's idempotency key; returns false when the key
   /// is already in the dedup window (a retried Report).
   [[nodiscard]] bool note_report_seen(const Observation& obs);
@@ -266,8 +240,6 @@ class ControllerServer {
   obs::Gauge* tel_bp_paused_;
   obs::Counter* tel_bp_pauses_;
   obs::Gauge* tel_bp_queued_;
-  /// kUring requested but unsupported: the start()-time epoll fallback.
-  obs::Counter* tel_uring_fallbacks_;
   /// Federation plane (§6k): liveness probes answered and gossip updates
   /// received.
   obs::Counter* tel_pings_;
@@ -293,27 +265,9 @@ class ControllerServer {
   const bool policy_concurrent_;
 
   TcpListener listener_;
-  std::thread accept_thread_;
-  /// Event-driven serving mode (§6h/§6j); built fresh on each start()
-  /// when an event-driven backend is selected, stopped (and kept for
-  /// inspection) on stop().
-  std::unique_ptr<ReactorBase> reactor_;
-  ServingBackend active_backend_ = ServingBackend::kLegacy;
-
-  /// Handler bookkeeping: live threads sit on `handlers_`; a handler
-  /// splices its own node onto `finished_` as its last act, and the accept
-  /// loop joins finished threads before each accept (stop() drains both
-  /// lists).  Bounds thread bookkeeping by live connections instead of
-  /// total connections ever accepted.
-  mutable std::mutex handlers_mutex_;
-  std::condition_variable handlers_cv_;  ///< signaled on each handler finish
-  std::list<std::thread> handlers_;
-  std::list<std::thread> finished_;
-  /// File descriptors of live client connections (guarded by
-  /// handlers_mutex_).  A handler registers its fd on entry and removes it
-  /// *before* the socket closes, so stop()'s forced drain can ::shutdown
-  /// stragglers without racing fd reuse.
-  std::unordered_set<int> conn_fds_;
+  /// The serving engine (§6h/§6j): started by start(), drained by stop(),
+  /// its counters kept for inspection afterwards.
+  Reactor reactor_;
 
   /// Report idempotency window (§6f): set for O(1) lookup, FIFO for
   /// eviction.  Guarded by dedup_mutex_.

@@ -29,7 +29,6 @@
 #include "rpc/server.h"
 #include "rpc/soak_driver.h"
 #include "rpc/socket.h"
-#include "rpc/uring_reactor.h"
 
 VIA_REGISTER_FLIGHT_DUMP("test_chaos");
 
@@ -379,7 +378,7 @@ TEST(Chaos, StopForceClosesIdleConnectionsAfterDrainTimeout) {
 
   // An idle client that never sends and never disconnects.
   TcpConnection idle = TcpConnection::connect_local(server.port());
-  // Let the handler thread pick the connection up.
+  // Let a reactor worker pick the connection up.
   for (int i = 0; i < 100 && server.active_handlers() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -393,7 +392,7 @@ TEST(Chaos, StopForceClosesIdleConnectionsAfterDrainTimeout) {
       server.telemetry().registry.counter("rpc.server.drain_forced_closes").value(), 1);
 }
 
-// ------------------------------------------------------- reactor mode (§6h)
+// ------------------------------------------------------ pinned workers (§6h)
 
 ServerConfig reactor_chaos_config(int workers = 2) {
   ServerConfig config;
@@ -401,8 +400,8 @@ ServerConfig reactor_chaos_config(int workers = 2) {
   return config;
 }
 
-/// The §6f acceptance scenario rerun against the epoll reactor: the
-/// drop/delay/truncate/reset ladder now lands on non-blocking sockets with
+/// The §6f acceptance scenario on an explicit two-worker pool: the
+/// drop/delay/truncate/reset ladder lands on non-blocking sockets with
 /// partial reads and buffered writes, and must still lose nothing.
 TEST(Chaos, ReactorFaultyTransportLosesNoObservations) {
   CountingPolicy policy(1);
@@ -458,11 +457,9 @@ TEST(Chaos, ReactorFaultyTransportLosesNoObservations) {
   EXPECT_GT(faults_total.load(), 0);
 }
 
-/// Acceptance (§6h): a reactor-mode run with >= 1000 concurrent
-/// connections, every one sending a decision + a distinct report, with
-/// zero lost observations.  Thread-per-connection could never hold this
-/// many clients with a bounded thread count; the reactor serves them from
-/// its fixed worker pool.
+/// Acceptance (§6h): a run with >= 1000 concurrent connections, every one
+/// sending a decision + a distinct report, with zero lost observations,
+/// served from the reactor's fixed two-worker pool.
 TEST(Chaos, ReactorThousandConnectionSoakLosesNoObservations) {
   CountingPolicy policy(1);
   ControllerServer server(policy, 0, reactor_chaos_config());
@@ -538,33 +535,20 @@ TEST(Chaos, ReactorThousandConnectionSoakLosesNoObservations) {
 
 // ------------------------------------------------ 10k-connection soak (§6j)
 
-class SoakBackend : public ::testing::TestWithParam<ServingBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ServingBackend::kUring && !UringReactor::supported()) {
-      GTEST_SKIP() << "io_uring unsupported on this kernel; epoll variant covers the seam";
-    }
-    // The server side alone holds ~10k sockets; lift the soft fd limit to
-    // the hard cap before accepting the storm.
-    raise_fd_limit();
-  }
-};
-
-/// Acceptance (§6j): a 10,000-connection pipelined soak against each
-/// event-driven backend.  The client half runs in a child process (two
-/// processes' worth of fd budget — neither side can hold all 20k sockets
-/// alone), reports mode, every observation id distinct.  The server must
-/// deliver every observation to the policy exactly once (zero lost),
-/// keep every connection's write queue under the configured cap, and
-/// drain cleanly at stop() — no forced closes.
-TEST_P(SoakBackend, TenThousandConnectionSoakLosesNoObservations) {
+/// Acceptance (§6j): a 10,000-connection pipelined soak.  The client half
+/// runs in a child process (two processes' worth of fd budget — neither
+/// side can hold all 20k sockets alone), reports mode, every observation
+/// id distinct.  The server must deliver every observation to the policy
+/// exactly once (zero lost), keep every connection's write queue under the
+/// configured cap, and drain cleanly at stop() — no forced closes.
+TEST(Chaos, TenThousandConnectionSoakLosesNoObservations) {
+  // The server side alone holds ~10k sockets; lift the soft fd limit to
+  // the hard cap before accepting the storm.
+  raise_fd_limit();
   CountingPolicy policy(1);
-  ServerConfig cfg;
-  cfg.backend = GetParam();
-  cfg.reactor_threads = 2;
+  const ServerConfig cfg = reactor_chaos_config();
   ControllerServer server(policy, 0, cfg);
   server.start();
-  ASSERT_EQ(server.serving_backend(), GetParam());
 
   SoakConfig soak;
   soak.port = server.port();
@@ -602,12 +586,6 @@ TEST_P(SoakBackend, TenThousandConnectionSoakLosesNoObservations) {
   EXPECT_EQ(
       server.telemetry().registry.counter("rpc.server.drain_forced_closes").value(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SoakBackend,
-                         ::testing::Values(ServingBackend::kEpoll, ServingBackend::kUring),
-                         [](const ::testing::TestParamInfo<ServingBackend>& info) {
-                           return std::string(serving_backend_name(info.param));
-                         });
 
 // ------------------------------------- fault injection under partial writes
 

@@ -828,30 +828,5 @@ TEST(ConcurrentRpc, MultiClientStressMatchesServerCounts) {
   server.stop();
 }
 
-TEST(ConcurrentRpc, HandlerThreadsAreReaped) {
-  RelayOptionTable options;
-  (void)options.intern_bounce(0);
-  ViaConfig config;
-  config.serving_stripes = 4;
-  ViaPolicy policy(
-      options, [](RelayId, RelayId) { return PathPerformance{}; }, config);
-  ControllerServer server(policy);
-  server.start();
-
-  // Sequential short-lived connections: each must come off the live
-  // handler list once its client disconnects, not accumulate until stop().
-  for (int i = 0; i < 12; ++i) {
-    ControllerClient client(server.port());
-    (void)client.get_stats(obs::StatsFormat::Json);
-    client.shutdown();
-  }
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.active_handlers() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(server.active_handlers(), 0u);
-  server.stop();
-}
-
 }  // namespace
 }  // namespace via

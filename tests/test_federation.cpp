@@ -14,7 +14,7 @@
 //   - chaos suites on an in-process fleet: kill 1 of 3 (re-homing, zero
 //     lost observations, flight narrative in seq order), probation under
 //     flap, full-controller outage with direct fallback and recovery, and
-//     client reconnect-after-reset against the io_uring backend.
+//     client reconnect-after-reset.
 // This file runs under ASan+UBSan and TSan in CI (tools/ci.sh).
 #include <gtest/gtest.h>
 
@@ -42,7 +42,6 @@
 #include "rpc/framing.h"
 #include "rpc/messages.h"
 #include "rpc/server.h"
-#include "rpc/uring_reactor.h"
 
 VIA_REGISTER_FLIGHT_DUMP("test_federation");
 
@@ -514,6 +513,7 @@ TEST(FederationRpc, PingAndGossipSkipSheddingAndReachTheHandler) {
   sc.replica_id = 4;
   sc.ring_epoch = 9;
   sc.max_inflight = 1;
+  sc.reactor_threads = 2;
   ControllerServer server(policy, 0, sc);
   std::atomic<std::size_t> gossip_segments{0};
   server.set_gossip_handler([&](const GossipSegmentsMsg& msg) {
@@ -521,6 +521,15 @@ TEST(FederationRpc, PingAndGossipSkipSheddingAndReachTheHandler) {
     return msg.segments.size();
   });
   server.start();
+
+  // Connect the probe first: least-connections pinning puts it on one
+  // worker and the saturator on the other, so the stalled choose() holds
+  // the inflight slot but not the worker that serves the probe.
+  ControllerClient probe(server.port());
+  for (int i = 0; i < 1000 && server.active_handlers() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.active_handlers(), 1u);
 
   std::thread saturator([&] {
     ControllerClient c(server.port());
@@ -533,7 +542,6 @@ TEST(FederationRpc, PingAndGossipSkipSheddingAndReachTheHandler) {
   // Let the decision occupy the single inflight slot.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  ControllerClient probe(server.port());
   const auto t0 = std::chrono::steady_clock::now();
   const PongMsg pong = probe.ping();
   const auto ping_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -899,19 +907,14 @@ TEST_F(FederationChaosTest, GossipOverRpcPoolsSegmentsAcrossReplicas) {
   EXPECT_TRUE(snap1->predictor().tomography().predict_lin(1, 2, bounce_, mean, sem));
 }
 
-/// Reconnect-after-reset against the io_uring backend: a client whose
-/// connection died with the server must transparently reconnect and
-/// succeed once the server is back on the same port.
-TEST_F(FederationChaosTest, UringBackendClientReconnectsAfterReset) {
-  if (!UringReactor::supported()) {
-    GTEST_SKIP() << "io_uring unsupported on this kernel";
-  }
+/// Reconnect-after-reset: a client whose connection died with the server
+/// must transparently reconnect and succeed once the server is back on
+/// the same port.
+TEST_F(FederationChaosTest, ClientReconnectsAfterReset) {
   FedFleetConfig cfg = fleet_config(1);
-  cfg.server.backend = ServingBackend::kUring;
   cfg.server.reactor_threads = 1;
   FedFleet fleet(options_, backbone_, cfg);
   fleet.start();
-  ASSERT_EQ(fleet.server(0).serving_backend(), ServingBackend::kUring);
 
   ClientConfig cc;
   cc.request_timeout_ms = 500;

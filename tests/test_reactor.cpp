@@ -1,21 +1,18 @@
-// Event-driven serving mode tests (DESIGN.md §6h/§6j): the epoll reactor
-// behind ServerConfig::reactor_threads must preserve every protocol
-// behavior of the thread-per-connection path — round trips, shedding,
-// client deadlines, protocol-error replies, graceful drain — while adding
-// pipelined frame batching through RoutingPolicy::choose_batch.  The
-// backend-parameterized suite at the bottom runs protocol, backpressure,
-// and pinning behaviors against both event-driven backends (epoll and
-// io_uring); uring cases SKIP explicitly on kernels without io_uring.
+// Serving engine tests (DESIGN.md §6h/§6j): the epoll reactor behind
+// ControllerServer — round trips, pipelined frame batching through
+// RoutingPolicy::choose_batch, burst shedding, client deadlines,
+// protocol-error replies, graceful and forced drain, write backpressure,
+// least-connections pinning, and the default worker-pool size.
 // This file also runs under TSan in CI (tools/ci.sh): the hammer test
 // drives all reactor workers concurrently.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +25,6 @@
 #include "rpc/messages.h"
 #include "rpc/server.h"
 #include "rpc/socket.h"
-#include "rpc/uring_reactor.h"
 
 namespace via {
 namespace {
@@ -382,6 +378,13 @@ TEST(Reactor, DrainForceClosesStragglers) {
   idle1.send_all(encode_decision_burst(1, 1));
   Frame reply;
   ASSERT_TRUE(recv_frame(idle1, reply));
+  // connect() returns once the kernel queues the socket, before a worker
+  // accepts it; stop() closes the listener, so a still-queued socket would
+  // never become a straggler to force-close.
+  for (int i = 0; i < 2000 && server.active_handlers() != 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.active_handlers(), 2u);
 
   server.stop();  // must return despite the open connections
   EXPECT_GE(counter_value(server, "rpc.server.drain_forced_closes"), 2);
@@ -416,6 +419,26 @@ TEST(Reactor, StopIsIdempotentAndRestartless) {
   server.start();
   server.stop();
   server.stop();  // second stop must be harmless
+}
+
+TEST(Reactor, DefaultConfigServesOnHalfTheHardwareThreads) {
+  // ServerConfig{} leaves reactor_threads at 0: the library sizes the
+  // worker pool itself, as the controller daemon runs it.
+  ModuloPolicy policy;
+  ControllerServer server(policy, 0, ServerConfig{});
+  server.start();
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(server.reactor_worker_connections().size(),
+            static_cast<std::size_t>(std::clamp(hw / 2, 2, 8)));
+
+  ControllerClient client(server.port());
+  DecisionRequest req;
+  req.call_id = 4;
+  req.options = {0, 1};
+  EXPECT_EQ(client.request_decision(req), 0);  // 4 % 2
+  client.shutdown();
+  server.stop();
+  EXPECT_EQ(server.decisions_served(), 1);
 }
 
 // ----------------------------------------------------------- TSan hammer
@@ -525,89 +548,14 @@ TEST(Reactor, ViaPolicyChooseBatchMatchesSequential) {
   EXPECT_EQ(got, expect);
 }
 
-// ------------------------------------------- backend-parameterized (§6j)
+// ----------------------------------------------- backpressure and pinning
 
-/// Runs a case against both event-driven backends.  The io_uring variant
-/// SKIPs explicitly (never silently passes) when the kernel can't run it.
-class BackendReactor : public ::testing::TestWithParam<ServingBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ServingBackend::kUring && !UringReactor::supported()) {
-      GTEST_SKIP() << "io_uring unsupported on this kernel";
-    }
-  }
-
-  [[nodiscard]] ServerConfig config(int workers = 2) const {
-    ServerConfig c;
-    c.backend = GetParam();
-    c.reactor_threads = workers;
-    return c;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, BackendReactor,
-                         ::testing::Values(ServingBackend::kEpoll, ServingBackend::kUring),
-                         [](const auto& info) {
-                           return std::string(serving_backend_name(info.param));
-                         });
-
-TEST_P(BackendReactor, ActiveBackendMatchesRequest) {
-  ModuloPolicy policy;
-  ControllerServer server(policy, 0, config());
-  server.start();
-  EXPECT_EQ(server.serving_backend(), GetParam());
-  ControllerClient client(server.port());
-  DecisionRequest req;
-  req.call_id = 4;
-  req.options = {0, 1};
-  EXPECT_EQ(client.request_decision(req), 0);  // 4 % 2
-  client.shutdown();
-  server.stop();
-}
-
-TEST_P(BackendReactor, PipelinedBurstAnswersInOrder) {
-  ModuloPolicy policy;
-  ControllerServer server(policy, 0, config());
-  server.start();
-
-  constexpr int kFrames = 64;
-  TcpConnection conn = TcpConnection::connect_local(server.port());
-  conn.send_all(encode_decision_burst(kFrames, 500));
-  for (int i = 0; i < kFrames; ++i) {
-    Frame reply;
-    ASSERT_TRUE(recv_frame(conn, reply));
-    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(MsgType::DecisionResponse));
-    WireReader r(reply.payload);
-    const DecisionResponse resp = DecisionResponse::decode(r);
-    EXPECT_EQ(resp.call_id, 500 + i);
-    EXPECT_EQ(resp.option, static_cast<OptionId>((500 + i) % 3));
-  }
-  conn.close();
-  server.stop();
-  EXPECT_EQ(server.decisions_served(), kFrames);
-}
-
-TEST_P(BackendReactor, ProtocolErrorRepliesAndCloses) {
-  ModuloPolicy policy;
-  ControllerServer server(policy, 0, config());
-  server.start();
-
-  TcpConnection conn = TcpConnection::connect_local(server.port());
-  send_frame(conn, 0x7F, {});
-  Frame reply;
-  ASSERT_TRUE(recv_frame(conn, reply));
-  EXPECT_EQ(reply.type, static_cast<std::uint8_t>(MsgType::Error));
-  EXPECT_FALSE(recv_frame(conn, reply));
-  server.stop();
-  EXPECT_GE(server.protocol_errors(), 1);
-}
-
-TEST_P(BackendReactor, BackpressurePauseResumeRoundTrip) {
+TEST(Reactor, BackpressurePauseResumeRoundTrip) {
   // A pipelined flood whose replies outrun the (unread) socket must pause
   // the connection at the write cap, stop reading, then resume and serve
   // every frame in order once the client finally drains.
   ModuloPolicy policy;
-  ServerConfig cfg = config();
+  ServerConfig cfg = reactor_config();
   cfg.write_buffer_cap = 128 * 1024;
   ControllerServer server(policy, 0, cfg);
   server.start();
@@ -655,15 +603,15 @@ TEST_P(BackendReactor, BackpressurePauseResumeRoundTrip) {
   EXPECT_EQ(server.decisions_served(), kFrames);
 }
 
-TEST_P(BackendReactor, DrainedWhileAggregateHighResumesViaSweep) {
+TEST(Reactor, DrainedWhileAggregateHighResumesViaSweep) {
   // Regression: a connection that pauses while its socket still holds
   // bytes gets no sweep-list entry at pause time.  If its socket then
   // fully drains while the worker aggregate is still above low water, the
-  // final EPOLLOUT / send CQE must park it on the sweep list — otherwise
+  // final EPOLLOUT must park it on the sweep list — otherwise
   // it has zero event interest, sits on no list, and is stranded paused
   // forever even after the aggregate drains.
   ModuloPolicy policy;
-  ServerConfig cfg = config(1);  // one worker: both connections share an aggregate
+  ServerConfig cfg = reactor_config(1);  // one worker: both connections share an aggregate
   cfg.write_buffer_cap = 128 * 1024;
   cfg.worker_write_cap = 192 * 1024;
   ControllerServer server(policy, 0, cfg);
@@ -780,12 +728,12 @@ TEST_P(BackendReactor, DrainedWhileAggregateHighResumesViaSweep) {
   EXPECT_EQ(server.decisions_served(), 2 * kFrames);
 }
 
-TEST_P(BackendReactor, ForcedCloseWithPendingWrites) {
+TEST(Reactor, ForcedCloseWithPendingWrites) {
   // stop() during a pause: the connection still holds queued replies and
   // undispatched frames.  The drain timeout must force it shut without
   // leaking the inflight accounting or wedging stop().
   ModuloPolicy policy;
-  ServerConfig cfg = config();
+  ServerConfig cfg = reactor_config();
   cfg.write_buffer_cap = 4 * 1024;
   cfg.drain_timeout_ms = 200;
   ControllerServer server(policy, 0, cfg);
@@ -814,9 +762,9 @@ TEST_P(BackendReactor, ForcedCloseWithPendingWrites) {
   conn.close();
 }
 
-TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
+TEST(Reactor, LeastConnectionsPinningBalancesWorkers) {
   ModuloPolicy policy;
-  ControllerServer server(policy, 0, config(2));
+  ControllerServer server(policy, 0, reactor_config(2));
   server.start();
 
   auto wait_for_total = [&](std::size_t want) {
@@ -856,90 +804,6 @@ TEST_P(BackendReactor, LeastConnectionsPinningBalancesWorkers) {
   EXPECT_EQ(c[1], 2u);
 
   conns.clear();
-  server.stop();
-}
-
-TEST(BackendParity, EpollAndUringProduceIdenticalReplyBytes) {
-  // The tentpole invariant: both backends sit behind the same
-  // dispatch_frame seam, so one pipelined mixed workload must produce
-  // byte-identical reply streams.
-  if (!UringReactor::supported()) {
-    GTEST_SKIP() << "io_uring unsupported on this kernel";
-  }
-  auto run_backend = [](ServingBackend backend) {
-    ModuloPolicy policy;
-    ServerConfig cfg;
-    cfg.backend = backend;
-    cfg.reactor_threads = 2;
-    ControllerServer server(policy, 0, cfg);
-    server.start();
-
-    std::vector<std::byte> burst;
-    int expected_replies = 0;
-    for (int i = 0; i < 48; ++i) {
-      if (i % 5 == 4) {
-        ReportMsg msg;
-        msg.obs.id = i;
-        msg.obs.option = 1;
-        msg.obs.perf = {100.0 + i, 0.5, 2.0};
-        WireWriter w;
-        msg.encode(w);
-        append_frame(burst, MsgType::Report, w);
-      } else {
-        DecisionRequest req;
-        req.call_id = i;
-        req.options = {0, 1, 2};
-        WireWriter w;
-        req.encode(w);
-        append_frame(burst, MsgType::DecisionRequest, w);
-      }
-      ++expected_replies;
-    }
-    TcpConnection conn = TcpConnection::connect_local(server.port());
-    conn.set_recv_timeout_ms(10'000);
-    conn.send_all(burst);
-
-    std::vector<std::byte> replies;
-    for (int i = 0; i < expected_replies; ++i) {
-      Frame reply;
-      EXPECT_TRUE(recv_frame(conn, reply));
-      replies.push_back(static_cast<std::byte>(reply.type));
-      const auto len = static_cast<std::uint32_t>(reply.payload.size());
-      for (int b = 0; b < 4; ++b) {
-        replies.push_back(static_cast<std::byte>((len >> (8 * b)) & 0xFF));
-      }
-      replies.insert(replies.end(), reply.payload.begin(), reply.payload.end());
-    }
-    conn.close();
-    server.stop();
-    return replies;
-  };
-
-  const auto epoll_bytes = run_backend(ServingBackend::kEpoll);
-  const auto uring_bytes = run_backend(ServingBackend::kUring);
-  EXPECT_EQ(epoll_bytes, uring_bytes);
-}
-
-TEST(BackendParity, UringFallsBackToEpollWhenUnsupported) {
-  // VIA_NO_URING forces supported() == false: the server must degrade to
-  // epoll, count the fallback, and keep serving.
-  ::setenv("VIA_NO_URING", "1", 1);
-  ModuloPolicy policy;
-  ServerConfig cfg;
-  cfg.backend = ServingBackend::kUring;
-  cfg.reactor_threads = 2;
-  ControllerServer server(policy, 0, cfg);
-  server.start();
-  ::unsetenv("VIA_NO_URING");
-
-  EXPECT_EQ(server.serving_backend(), ServingBackend::kEpoll);
-  EXPECT_EQ(counter_value(server, "rpc.server.uring_fallbacks"), 1);
-  ControllerClient client(server.port());
-  DecisionRequest req;
-  req.call_id = 2;
-  req.options = {0, 1};
-  EXPECT_EQ(client.request_decision(req), 0);
-  client.shutdown();
   server.stop();
 }
 

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (full build + ctest), an io_uring backend
-# smoke (uring-filtered reactor tests, degrading to an explicit SKIP line
-# on kernels without io_uring), a strict
+# CI entry point: tier-1 verify (full build + ctest), a stress stage that
+# repeats the reactor, RPC and chaos tests under CPU contention, a strict
 # -Wall -Wextra -Werror compile of the telemetry subsystem and its tests,
 # and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
 # gates it against bench/thresholds.json (failing, tools/check_bench.py;
@@ -24,17 +23,12 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== uring: io_uring backend smoke (§6j) =="
-# The tier-1 ctest pass already runs the backend-parameterized reactor
-# suite (uring cases self-skip without kernel support); this stage makes
-# the outcome explicit in the log: either the uring-filtered tests run, or
-# CI prints a SKIP line — never a silent pass on a kernel without io_uring.
-cmake --build "$BUILD_DIR" -j --target via_controller test_reactor
-if "$BUILD_DIR/apps/via_controller" --probe-backend uring; then
-  "$BUILD_DIR/tests/test_reactor" --gtest_filter='*uring*:*Uring*'
-else
-  echo "ci.sh: SKIP io_uring smoke — kernel lacks io_uring; epoll paths still covered by tier-1"
-fi
+echo "== stress: reactor + rpc + chaos tests, 20 repeats under contention =="
+# Timing-dependent serving tests flake only when the box is busy: repeat
+# each case until it fails, at most 20 times, with twice as many tests in
+# parallel as there are cores.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^test_(reactor|rpc|chaos)$' \
+  --repeat until-fail:20 -j "$(( 2 * $(nproc) ))"
 
 echo "== strict: -Werror build of the obs subsystem =="
 cmake -B "$BUILD_DIR-werror" -S . -DVIA_WERROR=ON
