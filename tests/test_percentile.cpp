@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -92,10 +93,14 @@ TEST(P2, ResetClears) {
 
 // Property sweep: P2 approximates the true quantile of several
 // distributions within a few percent of the distribution's scale.
+// gtest prints a P2Case as its raw bytes and ctest names each case after
+// them, so the struct must have no padding: uninitialised padding made the
+// case names change with the test binary's path and arguments.
 struct P2Case {
   double quantile;
-  int distribution;  // 0 = uniform, 1 = gaussian, 2 = exponential
+  std::int64_t distribution;  // 0 = uniform, 1 = gaussian, 2 = exponential
 };
+static_assert(sizeof(P2Case) == sizeof(double) + sizeof(std::int64_t));
 
 class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
 
