@@ -1,6 +1,8 @@
 #include "core/pair_state_store.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 namespace via {
 
@@ -47,64 +49,45 @@ bool PairStateStore::budget_allow_relay(double predicted_benefit) {
   return budget_.allow_relay(predicted_benefit);
 }
 
-std::int64_t PairStateStore::evict_stale(std::uint64_t current_period,
-                                         std::uint64_t ttl_periods) {
-  if (ttl_periods == 0) return 0;
+std::int64_t PairStateStore::evict(std::uint64_t current_period, std::uint64_t ttl_periods,
+                                   std::size_t max_pairs) {
+  const auto expired = [&](const PairServingState& state) {
+    // Never armed (~0ULL): a placeholder, tiny, never stale.
+    return ttl_periods > 0 && state.period != ~0ULL &&
+           state.period + ttl_periods <= current_period;
+  };
+  // (armed period, pair key): pairs ranking below `cutoff` exceed the cap.
+  using Rank = std::pair<std::uint64_t, std::uint64_t>;
+  std::optional<Rank> cutoff;
+  const std::size_t resident = max_pairs > 0 ? resident_pairs() : 0;
+  if (resident > max_pairs) {
+    std::vector<Rank> ranks;
+    ranks.reserve(resident);
+    for (std::size_t i = 0; i < stripe_count_; ++i) {
+      Stripe& s = stripes_[i];
+      const std::lock_guard lock(s.mutex);
+      s.pairs.for_each([&](std::uint64_t key, const PairServingState& state) {
+        if (!expired(state)) ranks.emplace_back(state.period, key);
+      });
+    }
+    if (ranks.size() > max_pairs) {
+      const auto nth = ranks.begin() + static_cast<std::ptrdiff_t>(ranks.size() - max_pairs);
+      std::nth_element(ranks.begin(), nth, ranks.end());
+      cutoff = *nth;
+    }
+  }
+  if (ttl_periods == 0 && !cutoff) return 0;
   std::int64_t evicted = 0;
-  std::vector<std::uint64_t> victims;
   for (std::size_t i = 0; i < stripe_count_; ++i) {
     Stripe& s = stripes_[i];
     const std::lock_guard lock(s.mutex);
-    victims.clear();
-    s.pairs.for_each([&](std::uint64_t key, const PairServingState& state) {
-      if (state.period == ~0ULL) return;  // never armed: placeholder, tiny
-      if (state.period + ttl_periods <= current_period) victims.push_back(key);
-    });
-    for (const std::uint64_t key : victims) s.pairs.erase(key);
-    if (!victims.empty()) s.pairs.shrink_to_fit();
-    evicted += static_cast<std::int64_t>(victims.size());
+    evicted += static_cast<std::int64_t>(
+        s.pairs.erase_if([&](std::uint64_t key, const PairServingState& state) {
+          return expired(state) || (cutoff && Rank{state.period, key} < *cutoff);
+        }));
   }
   evicted_total_ += evicted;
   return evicted;
-}
-
-std::int64_t PairStateStore::enforce_resident_cap(std::size_t max_pairs) {
-  if (max_pairs == 0) return 0;
-  struct Candidate {
-    std::uint64_t period;
-    std::uint64_t key;
-    std::uint32_t stripe;
-  };
-  std::vector<Candidate> candidates;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < stripe_count_; ++i) {
-    Stripe& s = stripes_[i];
-    const std::lock_guard lock(s.mutex);
-    total += s.pairs.size();
-    s.pairs.for_each([&](std::uint64_t key, const PairServingState& state) {
-      candidates.push_back({state.period, key, static_cast<std::uint32_t>(i)});
-    });
-  }
-  if (total <= max_pairs) return 0;
-  // Oldest armed period first; pair key breaks ties, so the victim order
-  // is a total order independent of stripe count.  Never-armed entries
-  // (~0ULL) sort last and are shed only under extreme pressure.
-  std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
-    return a.period != b.period ? a.period < b.period : a.key < b.key;
-  });
-  const std::size_t to_evict = total - max_pairs;
-  for (std::size_t i = 0; i < to_evict; ++i) {
-    Stripe& s = stripes_[candidates[i].stripe];
-    const std::lock_guard lock(s.mutex);
-    s.pairs.erase(candidates[i].key);
-  }
-  for (std::size_t i = 0; i < stripe_count_; ++i) {
-    Stripe& s = stripes_[i];
-    const std::lock_guard lock(s.mutex);
-    s.pairs.shrink_to_fit();
-  }
-  evicted_total_ += static_cast<std::int64_t>(to_evict);
-  return static_cast<std::int64_t>(to_evict);
 }
 
 std::size_t PairStateStore::resident_pairs() {

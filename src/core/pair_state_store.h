@@ -113,21 +113,21 @@ class PairStateStore {
   [[nodiscard]] bool relay_cap_allows(const RelayOption& option);
 
   // ------------------------------------------------- memory bounds (§6i)
-  // Both eviction passes run from the policy's refresh commit, which the
-  // host already serializes against serving (policy.h's exclusion
-  // contract), so they see a quiescent store.  Both are deterministic at
-  // any stripe count: eviction is decided by (armed period, pair key)
-  // alone — per-entry state independent of stripe layout, insertion
-  // interleaving, and hash order.
-
-  /// Drops pairs whose bandit was last armed `ttl_periods` or more periods
-  /// before `current_period` (0 = disabled).  Never-armed placeholder
-  /// entries are kept.  Returns the evicted count.
-  std::int64_t evict_stale(std::uint64_t current_period, std::uint64_t ttl_periods);
-
-  /// Evicts oldest-armed pairs first (ties by pair key) until at most
-  /// `max_pairs` remain (0 = unbounded).  Returns the evicted count.
-  std::int64_t enforce_resident_cap(std::size_t max_pairs);
+  /// Evicts cold pairs in one in-place pass per stripe and returns the
+  /// evicted count.  Runs from the policy's refresh commit, which the host
+  /// already serializes against serving (policy.h's exclusion contract),
+  /// so it sees a quiescent store.
+  ///   - TTL (`ttl_periods`, 0 = disabled): drops pairs whose bandit was
+  ///     last armed `ttl_periods` or more periods before `current_period`.
+  ///     Never-armed placeholder entries are kept.
+  ///   - Cap (`max_pairs`, 0 = unbounded): of the pairs the TTL keeps,
+  ///     drops the oldest-armed first (ties by pair key) until at most
+  ///     `max_pairs` remain.  Never-armed entries (period ~0) sort last.
+  /// The victim set is decided by (armed period, pair key) alone — a total
+  /// order independent of stripe count, insertion interleaving and hash
+  /// order — so it is the same at any stripe count.
+  std::int64_t evict(std::uint64_t current_period, std::uint64_t ttl_periods,
+                     std::size_t max_pairs);
 
   [[nodiscard]] std::size_t resident_pairs();
   /// Resident bytes: stripe tables, per-pair bandit arms and pre-warm

@@ -241,7 +241,10 @@ void ViaPolicy::commit_refresh(TimeSec now) {
     staged = std::move(pending_);
     pending_ = nullptr;
   }
-  // The exclusive section the host stalls serving for is just this swap.
+  // The exclusive section the host stalls serving for: this swap, then,
+  // only when a MemoryConfig bound is set, the pair-state eviction pass
+  // below, and, only with telemetry attached, the memory_stats() walk that
+  // feeds the policy.mem.* gauges.
   const obs::ScopedTimer swap_timer(inst_.refresh_swap_us);
   // Per-pair serving states are invalidated lazily: choose() re-arms a
   // pair's bandit when its recorded period trails the published one.
@@ -266,11 +269,9 @@ void ViaPolicy::commit_refresh(TimeSec now) {
   // §6i: shed cold serving state at the period boundary.  commit_refresh
   // runs under the host's exclusive lock, so the store is quiescent — the
   // one place eviction can run without racing a concurrent re-arm.
-  if (config_.mem.pair_ttl_periods > 0) {
-    store_.evict_stale(model()->period(), config_.mem.pair_ttl_periods);
-  }
-  if (config_.mem.max_resident_pairs > 0) {
-    store_.enforce_resident_cap(config_.mem.max_resident_pairs);
+  if (config_.mem.pair_ttl_periods > 0 || config_.mem.max_resident_pairs > 0) {
+    store_.evict(model()->period(), config_.mem.pair_ttl_periods,
+                 config_.mem.max_resident_pairs);
   }
   if (inst_.mem_total_bytes != nullptr) {
     const MemoryStats m = memory_stats();

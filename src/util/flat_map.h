@@ -9,10 +9,14 @@
 //   - keys are arbitrary 64-bit values (no reserved sentinel),
 //   - erase() uses backward-shift deletion (no tombstones), so probe
 //     chains stay short even under the history window's eviction churn,
+//   - erase_if() drops a whole victim set in one in-place compaction pass
+//     (no tombstones, no allocation); it gives capacity back only when the
+//     survivors fit in a quarter of it, so a table that refills every
+//     period is not shrunk and regrown each time,
 //   - clear() keeps the slot array so a recurring window reuses capacity;
 //     shrink_to_fit() gives the capacity back after a burst,
-//   - references are invalidated by rehash *and* by erase (don't hold
-//     them across inserts or erases).
+//   - references are invalidated by rehash *and* by erase/erase_if (don't
+//     hold them across inserts or erases).
 //
 // Iteration order is a deterministic function of the insert/erase sequence,
 // so replays that feed identical observation streams iterate identically —
@@ -35,8 +39,7 @@ class FlatMap {
 
   /// Ensures capacity for `n` entries without rehashing mid-fill.
   void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    while (cap * 3 < n * 4) cap <<= 1;  // keep load factor <= 0.75
+    const std::size_t cap = min_capacity(n);
     if (cap > slots_.size()) rehash(cap);
   }
 
@@ -49,8 +52,7 @@ class FlatMap {
       std::vector<std::uint8_t>().swap(used_);
       return;
     }
-    std::size_t cap = kMinCapacity;
-    while (cap * 3 < size_ * 4) cap <<= 1;
+    const std::size_t cap = min_capacity(size_);
     if (cap < slots_.size()) rehash(cap);
   }
 
@@ -138,11 +140,49 @@ class FlatMap {
       }
       next = (next + 1) & mask;
     }
-    used_[hole] = 0;
-    slots_[hole].first = 0;
-    slots_[hole].second = Value{};
+    vacate(hole);
     --size_;
     return true;
+  }
+
+  /// Removes every entry for which pred(key, value) is true and returns how
+  /// many it removed.  One walk over the slots, starting just after an
+  /// empty slot so no probe chain is entered midway: a selected entry is
+  /// reset to Value{}, and each survivor moves to the first free slot
+  /// between its home and where it sits.  Every slot between a survivor's
+  /// home and its new place has already been walked and stays occupied, so
+  /// lookups stay valid without tombstones.  When anything was removed,
+  /// capacity is given back only if the survivors fit in a quarter of it
+  /// (all of it when none survive).  Invalidates references.
+  template <typename Pred>
+  std::size_t erase_if(Pred&& pred) {
+    if (size_ == 0) return 0;
+    const std::size_t cap = slots_.size();
+    const std::size_t mask = cap - 1;
+    std::size_t start = 0;
+    while (used_[start]) ++start;  // load <= 0.75: an empty slot exists
+    std::size_t dropped = 0;
+    for (std::size_t step = 1; step < cap; ++step) {
+      const std::size_t i = (start + step) & mask;
+      if (!used_[i]) continue;
+      if (pred(slots_[i].first, slots_[i].second)) {
+        vacate(i);
+        ++dropped;
+        continue;
+      }
+      for (std::size_t j = splitmix64(slots_[i].first) & mask; j != i; j = (j + 1) & mask) {
+        if (!used_[j]) {
+          slots_[j] = std::move(slots_[i]);
+          used_[j] = 1;
+          vacate(i);
+          break;
+        }
+      }
+    }
+    if (dropped == 0) return 0;
+    size_ -= dropped;
+    if (size_ == 0 || min_capacity(size_) * 4 <= cap) shrink_to_fit();
+    return dropped;
   }
 
   /// Visits every entry as fn(key, value); insertion-sequence-deterministic.
@@ -178,6 +218,21 @@ class FlatMap {
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
+
+  /// Smallest power-of-two capacity holding `n` entries at load <= 0.75.
+  static std::size_t min_capacity(std::size_t n) noexcept {
+    std::size_t cap = kMinCapacity;
+    while (cap * 3 < n * 4) cap <<= 1;
+    return cap;
+  }
+
+  /// Empties slot i, resetting its value so a later insert there starts
+  /// from a default-constructed Value (and heap the value owned is freed).
+  void vacate(std::size_t i) {
+    used_[i] = 0;
+    slots_[i].first = 0;
+    slots_[i].second = Value{};
+  }
 
   void rehash(std::size_t new_cap) {
     std::vector<std::pair<std::uint64_t, Value>> old_slots = std::move(slots_);

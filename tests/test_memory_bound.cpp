@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -51,20 +52,20 @@ TEST(PairStateStore, EvictStaleDropsOldKeepsFreshAndNeverArmed) {
     const std::lock_guard lock(stripe.mutex);
     (void)stripe.pairs[4];  // never armed (period stays ~0ULL): kept
   }
-  EXPECT_EQ(store->evict_stale(10, 3), 2);
+  EXPECT_EQ(store->evict(10, 3, 0), 2);
   const auto keys = resident_keys(*store);
   EXPECT_EQ(keys, (std::set<std::uint64_t>{2, 4}));
   EXPECT_EQ(store->evicted_total(), 2);
-  EXPECT_EQ(store->evict_stale(10, 0), 0);  // ttl 0 = disabled
+  EXPECT_EQ(store->evict(10, 0, 0), 0);  // ttl 0 = disabled
 }
 
 TEST(PairStateStore, ResidentCapEvictsOldestArmedFirst) {
   auto store = make_store(1);
   for (std::uint64_t k = 1; k <= 10; ++k) insert_pair(*store, k, k);
-  EXPECT_EQ(store->enforce_resident_cap(4), 6);
+  EXPECT_EQ(store->evict(10, 0, 4), 6);
   EXPECT_EQ(resident_keys(*store), (std::set<std::uint64_t>{7, 8, 9, 10}));
   EXPECT_EQ(store->resident_pairs(), 4u);
-  EXPECT_EQ(store->enforce_resident_cap(0), 0);  // 0 = unbounded
+  EXPECT_EQ(store->evict(10, 0, 0), 0);  // 0 = unbounded
 }
 
 TEST(PairStateStore, EvictionDeterministicAcrossStripeCounts) {
@@ -83,13 +84,109 @@ TEST(PairStateStore, EvictionDeterministicAcrossStripeCounts) {
       insert_pair(*four, key, period);
       insert_pair(*sixtyfour, key, period);
     }
-    for (auto* store : {one.get(), four.get(), sixtyfour.get()}) {
-      if (ttl > 0) store->evict_stale(12, ttl);
-      if (cap > 0) store->enforce_resident_cap(cap);
-    }
+    for (auto* store : {one.get(), four.get(), sixtyfour.get()}) store->evict(12, ttl, cap);
     const auto survivors = resident_keys(*one);
     EXPECT_EQ(resident_keys(*four), survivors);
     EXPECT_EQ(resident_keys(*sixtyfour), survivors);
+  }
+}
+
+/// Independent reference for evict(): apply the TTL, then sort everything
+/// left by (armed period, pair key) and drop from the front until `cap`
+/// remain.  Returns the survivors.
+std::map<std::uint64_t, std::uint64_t> reference_evict(
+    const std::map<std::uint64_t, std::uint64_t>& periods, std::uint64_t now,
+    std::uint64_t ttl, std::size_t cap) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> kept;  // (period, key)
+  for (const auto& [key, period] : periods) {
+    const bool armed = period != ~0ULL;
+    if (ttl > 0 && armed && period + ttl <= now) continue;
+    kept.emplace_back(period, key);
+  }
+  std::sort(kept.begin(), kept.end());
+  const std::size_t drop = cap > 0 && kept.size() > cap ? kept.size() - cap : 0;
+  std::map<std::uint64_t, std::uint64_t> survivors;
+  for (std::size_t i = drop; i < kept.size(); ++i) survivors[kept[i].second] = kept[i].first;
+  return survivors;
+}
+
+TEST(PairStateStore, EvictMatchesSortReferenceAtEveryStripeCount) {
+  constexpr std::uint64_t kNow = 12;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    std::map<std::uint64_t, std::uint64_t> periods;  // key -> armed period
+    while (periods.size() < 600) {
+      const std::uint64_t key = rng();
+      // One in eight never armed; the rest spread over 12 periods, so each
+      // period holds ~45 pairs and a cutoff can fall inside one.
+      periods[key] = rng.uniform_index(8) == 0 ? ~0ULL : rng.uniform_index(kNow);
+    }
+    const std::size_t never_armed = static_cast<std::size_t>(std::count_if(
+        periods.begin(), periods.end(), [](const auto& kv) { return kv.second == ~0ULL; }));
+    ASSERT_GT(never_armed, 10U);
+    // A cap whose cutoff falls halfway through `period`'s pairs among
+    // those the TTL keeps.
+    const auto cap_inside = [&](std::uint64_t ttl, std::uint64_t period) {
+      const auto kept = reference_evict(periods, kNow, ttl, 0);
+      std::size_t below = 0;
+      std::size_t within = 0;
+      for (const auto& kv : kept) {
+        below += kv.second < period ? 1 : 0;
+        within += kv.second == period ? 1 : 0;
+      }
+      EXPECT_GE(within, 2U);
+      return kept.size() - below - within / 2;
+    };
+    struct Case {
+      std::uint64_t ttl;
+      std::size_t cap;
+    };
+    const Case cases[] = {
+        {4, 0},                    // TTL alone
+        {0, cap_inside(0, 5)},     // cap alone, cutoff inside period 5
+        {6, cap_inside(6, 8)},     // TTL, then a cap on what it kept
+        {3, 1000},                 // cap above the TTL survivors: TTL alone
+        {0, never_armed / 2},      // cap sheds never-armed entries too
+        {0, 0},                    // no bound: nothing evicted
+    };
+    for (const Case& c : cases) {
+      const auto expected = reference_evict(periods, kNow, c.ttl, c.cap);
+      for (const std::size_t stripes : {1U, 4U, 64U}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " ttl " << c.ttl << " cap " << c.cap
+                                        << " stripes " << stripes);
+        auto store = make_store(stripes);
+        for (const auto& [key, period] : periods) {
+          auto& stripe = store->stripe(key);
+          const std::lock_guard lock(stripe.mutex);
+          PairServingState& state = stripe.pairs[key];
+          state.period = period;
+          state.options.assign(key % 5 + 1, static_cast<OptionId>(key % 97));
+        }
+        const std::int64_t evicted = store->evict(kNow, c.ttl, c.cap);
+        EXPECT_EQ(evicted, static_cast<std::int64_t>(periods.size() - expected.size()));
+        EXPECT_EQ(store->evicted_total(), evicted);
+        EXPECT_EQ(store->resident_pairs(), expected.size());
+        std::map<std::uint64_t, std::uint64_t> actual;
+        for (std::size_t i = 0; i < store->stripe_count(); ++i) {
+          auto& stripe = store->stripe_at(i);
+          const std::lock_guard lock(stripe.mutex);
+          stripe.pairs.for_each([&](std::uint64_t key, const PairServingState& state) {
+            actual[key] = state.period;
+            // Survivors keep their own state through the compaction.
+            EXPECT_EQ(state.options.size(), key % 5 + 1);
+            EXPECT_EQ(state.options.front(), static_cast<OptionId>(key % 97));
+          });
+        }
+        EXPECT_EQ(actual, expected);
+        for (const auto& [key, period] : expected) {
+          auto& stripe = store->stripe(key);
+          const std::lock_guard lock(stripe.mutex);
+          const PairServingState* state = stripe.pairs.find(key);
+          ASSERT_NE(state, nullptr);
+          EXPECT_EQ(state->period, period);
+        }
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "netsim/world.h"
 #include "sim/experiment.h"
 #include "util/flat_map.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace via {
@@ -68,6 +70,155 @@ TEST(FlatMap, IterationIsDeterministicForIdenticalInsertionSequences) {
   a.for_each([&](std::uint64_t key, const std::uint64_t&) { order_a.push_back(key); });
   b.for_each([&](std::uint64_t key, const std::uint64_t&) { order_b.push_back(key); });
   EXPECT_EQ(order_a, order_b);
+}
+
+/// Capacity FlatMap grows to for `n` entries (power of two >= 16, load
+/// <= 0.75), recomputed here so the test does not trust the map's own.
+std::size_t capacity_for(std::size_t n) {
+  std::size_t cap = 16;
+  while (cap * 3 < n * 4) cap <<= 1;
+  return cap;
+}
+
+/// Value that owns heap memory and names its key, so a slot moved or reset
+/// wrongly shows up as a wrong or empty payload.
+std::vector<std::uint64_t> payload(std::uint64_t key) {
+  return std::vector<std::uint64_t>(key % 7 + 1, key);
+}
+
+using PayloadMap = FlatMap<std::vector<std::uint64_t>>;
+using ReferenceMap = std::map<std::uint64_t, std::vector<std::uint64_t>>;
+
+void expect_same_entries(PayloadMap& map, const ReferenceMap& ref) {
+  ASSERT_EQ(map.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    const auto* found = map.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, value);
+  }
+  ReferenceMap visited;
+  map.for_each([&](std::uint64_t key, const std::vector<std::uint64_t>& value) {
+    EXPECT_TRUE(visited.emplace(key, value).second) << "key visited twice " << key;
+  });
+  EXPECT_EQ(visited, ref);
+}
+
+TEST(FlatMap, EraseIfMatchesOrderedMapReference) {
+  Rng rng(0xE7A5E);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t n = 8 + rng.uniform_index(400);
+    PayloadMap map;
+    map.reserve(n);
+    const std::size_t cap = map.capacity();
+    const std::size_t mask = cap - 1;
+    ReferenceMap ref;
+    // A quarter of the keys (at least four) hash to the last three slots,
+    // so their probe chains must wrap past the end of the table.
+    const std::size_t tail_homed = 4 + n / 4;
+    while (ref.size() < n) {
+      std::uint64_t key = rng();
+      if (ref.size() < tail_homed) {
+        while ((splitmix64(key) & mask) < cap - 3) key = rng();
+      }
+      map[key] = payload(key);
+      ref[key] = payload(key);
+    }
+    ASSERT_EQ(map.capacity(), cap);
+    // Single backward-shift erases first, so erase_if meets chains that an
+    // earlier erase already shifted.
+    for (auto it = ref.begin(); it != ref.end();) {
+      if (rng.uniform_index(5) == 0) {
+        EXPECT_TRUE(map.erase(it->first));
+        it = ref.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    expect_same_entries(map, ref);
+
+    // Drop shares from none to all.
+    const std::uint64_t drop_per_16 = rng.uniform_index(17);
+    const std::uint64_t salt = rng();
+    const auto selected = [&](std::uint64_t key) {
+      return (hash_mix(key, salt) & 15) < drop_per_16;
+    };
+    std::size_t expected_drop = 0;
+    for (auto it = ref.begin(); it != ref.end();) {
+      if (selected(it->first)) {
+        it = ref.erase(it);
+        ++expected_drop;
+      } else {
+        ++it;
+      }
+    }
+    const std::size_t size_before = map.size();
+    const std::size_t dropped =
+        map.erase_if([&](std::uint64_t key, const std::vector<std::uint64_t>& value) {
+          EXPECT_EQ(value, payload(key));
+          return selected(key);
+        });
+    EXPECT_EQ(dropped, expected_drop);
+    EXPECT_EQ(map.size(), size_before - dropped);
+    expect_same_entries(map, ref);
+
+    // Capacity: untouched when nothing was dropped, freed when nothing
+    // survives, shrunk only when the survivors fit in a quarter of it.
+    if (dropped == 0) {
+      EXPECT_EQ(map.capacity(), cap);
+    } else if (ref.empty()) {
+      EXPECT_EQ(map.capacity(), 0U);
+    } else if (capacity_for(ref.size()) * 4 <= cap) {
+      EXPECT_EQ(map.capacity(), capacity_for(ref.size()));
+    } else {
+      EXPECT_EQ(map.capacity(), cap);
+    }
+
+    // The compacted table still inserts, finds and erases, and a new key
+    // starts from an empty value wherever it lands.
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t key = rng();
+      std::vector<std::uint64_t>& value = map[key];
+      EXPECT_TRUE(value.empty());
+      value = payload(key);
+      ref[key] = payload(key);
+    }
+    for (auto it = ref.begin(); it != ref.end();) {
+      if (rng.uniform_index(3) == 0) {
+        EXPECT_TRUE(map.erase(it->first));
+        it = ref.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    EXPECT_FALSE(map.erase(salt));
+    expect_same_entries(map, ref);
+  }
+}
+
+TEST(FlatMap, EraseIfGivesBackCapacityOnlyBelowAQuarter) {
+  const auto filled = [] {
+    PayloadMap map;
+    for (std::uint64_t k = 0; k < 1000; ++k) map[k] = payload(k);
+    return map;
+  };
+  PayloadMap map = filled();
+  ASSERT_EQ(map.capacity(), 2048U);
+  // 400 survivors need 1024 slots, more than a quarter: kept.
+  EXPECT_EQ(map.erase_if([](std::uint64_t k, const auto&) { return k >= 400; }), 600U);
+  EXPECT_EQ(map.capacity(), 2048U);
+  map = filled();
+  // 300 survivors fit in 512 slots, a quarter: shrunk to fit.
+  EXPECT_EQ(map.erase_if([](std::uint64_t k, const auto&) { return k >= 300; }), 700U);
+  EXPECT_EQ(map.capacity(), 512U);
+  map = filled();
+  // Nothing survives: everything freed.
+  EXPECT_EQ(map.erase_if([](std::uint64_t, const auto&) { return true; }), 1000U);
+  EXPECT_EQ(map.capacity(), 0U);
+  EXPECT_EQ(map.approx_bytes(), 0U);
+  EXPECT_EQ(map.find(3), nullptr);
+  map[3] = payload(3);
+  EXPECT_EQ(*map.find(3), payload(3));
 }
 
 // ------------------------------------------------------ determinism suite

@@ -224,38 +224,6 @@ TEST(Controller, RefreshPropagates) {
   server.stop();
 }
 
-TEST(Controller, ManyConcurrentClients) {
-  FixedPolicy policy(1);
-  ControllerServer server(policy);
-  server.start();
-
-  constexpr int kClients = 8;
-  constexpr int kCallsEach = 50;
-  std::vector<std::thread> threads;
-  std::atomic<int> ok{0};
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      ControllerClient client(server.port());
-      for (int i = 0; i < kCallsEach; ++i) {
-        DecisionRequest req;
-        req.call_id = c * 1000 + i;
-        req.options = {0, 1};
-        if (client.request_decision(req) == 1) ++ok;
-        Observation obs;
-        obs.id = req.call_id;
-        obs.option = 1;
-        obs.perf = {100.0, 0.5, 2.0};
-        client.report(obs);
-      }
-      client.shutdown();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(ok.load(), kClients * kCallsEach);
-  EXPECT_EQ(policy.observed.load(), kClients * kCallsEach);
-  server.stop();
-}
-
 TEST(Controller, StopIsIdempotent) {
   FixedPolicy policy(0);
   ControllerServer server(policy);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + ctest), a stress stage that
-# repeats the reactor, RPC and chaos tests under CPU contention, a strict
-# -Wall -Wextra -Werror compile of the telemetry subsystem and its tests,
-# and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json and
-# gates it against bench/thresholds.json (failing, tools/check_bench.py;
+# repeats the reactor, RPC, chaos and federation tests under CPU contention,
+# a strict -Wall -Wextra -Werror compile of the telemetry subsystem and its
+# tests, and a Release (-O2 -DNDEBUG) bench smoke that emits BENCH_core.json
+# and gates it against bench/thresholds.json (failing, tools/check_bench.py;
 # the bench is retried a couple of times so a transient load spike on the
 # runner does not fail the pipeline — a real regression fails every try).
 # Set VIA_CI_TSAN=1 to additionally run the threaded tests (including the
@@ -23,11 +23,11 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== stress: reactor + rpc + chaos tests, 20 repeats under contention =="
+echo "== stress: reactor + rpc + chaos + federation tests, 20 repeats under contention =="
 # Timing-dependent serving tests flake only when the box is busy: repeat
 # each case until it fails, at most 20 times, with twice as many tests in
 # parallel as there are cores.
-ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^test_(reactor|rpc|chaos)$' \
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^test_(reactor|rpc|chaos|federation)$' \
   --repeat until-fail:20 -j "$(( 2 * $(nproc) ))"
 
 echo "== strict: -Werror build of the obs subsystem =="
