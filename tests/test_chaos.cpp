@@ -83,75 +83,74 @@ ServerConfig reactor_chaos_config(int workers = 2) {
 /// The §6f acceptance scenario: several clients push decisions + reports
 /// through transports that deterministically drop, delay, truncate, and
 /// reset frames.  Every request must eventually succeed and every distinct
-/// observation must reach the policy exactly once.  Runs on the default
-/// server and on an explicit two-worker pool, each with its own fault seed:
-/// the faults land on non-blocking sockets with partial reads and buffered
-/// writes, and must still lose nothing.
-TEST(Chaos, FaultyTransportLosesNoObservations) {
-  struct Case {
-    const char* name;
-    ServerConfig config;
-    std::uint64_t seed;
-  };
-  for (const Case& run : {Case{"default server", ServerConfig{}, 0xC0FFEE},
-                          Case{"two workers", reactor_chaos_config(), 0xBAD5EED}}) {
-    SCOPED_TRACE(run.name);
-    CountingPolicy policy(1);
-    ControllerServer server(policy, 0, run.config);
-    server.start();
+/// observation must reach the policy exactly once.  The faults land on
+/// non-blocking sockets with partial reads and buffered writes.
+void expect_faulty_transport_loses_nothing(const ServerConfig& config,
+                                           std::uint64_t seed) {
+  CountingPolicy policy(1);
+  ControllerServer server(policy, 0, config);
+  server.start();
 
-    constexpr int kClients = 4;
-    constexpr int kCallsEach = 25;
-    std::atomic<int> decisions_ok{0};
-    std::atomic<std::int64_t> faults_total{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        FaultScheduleConfig chaos;
-        chaos.seed = run.seed + static_cast<std::uint64_t>(c);
-        chaos.drop_prob = 0.12;
-        chaos.delay_prob = 0.10;
-        chaos.truncate_prob = 0.06;
-        chaos.reset_prob = 0.06;
-        chaos.delay_ms = 5;
-        // Bounded chaos guarantees forward progress under any retry budget.
-        chaos.max_faults = 12;
-        FaultSchedule schedule(chaos);
-        ControllerClient client(
-            [&server, &schedule]() -> std::unique_ptr<TcpConnection> {
-              return std::make_unique<FaultyConnection>(
-                  TcpConnection::connect_local(server.port()), &schedule);
-            },
-            resilient_client());
-        for (int i = 0; i < kCallsEach; ++i) {
-          DecisionRequest req;
-          req.call_id = c * 1'000 + i;
-          req.time = i;
-          req.options = {0, 1};
-          if (client.request_decision(req) == 1) ++decisions_ok;
-          Observation obs;
-          obs.id = req.call_id;
-          obs.option = 1;
-          obs.time = i;
-          obs.perf = {100.0, 0.5, 2.0};
-          client.report(obs);
-        }
-        client.shutdown();
-        faults_total += schedule.faults_injected();
-      });
-    }
-    for (auto& t : threads) t.join();
-    server.stop();
-
-    // Every decision answered, every distinct observation delivered exactly
-    // once — retries may duplicate frames, the server's dedup eats them.
-    EXPECT_EQ(decisions_ok.load(), kClients * kCallsEach);
-    EXPECT_EQ(policy.observed.load(), kClients * kCallsEach);
-    EXPECT_EQ(server.reports_received(), kClients * kCallsEach);
-    // The run actually exercised the fault machinery.
-    EXPECT_GT(faults_total.load(), 0);
+  constexpr int kClients = 4;
+  constexpr int kCallsEach = 25;
+  std::atomic<int> decisions_ok{0};
+  std::atomic<std::int64_t> faults_total{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      FaultScheduleConfig chaos;
+      chaos.seed = seed + static_cast<std::uint64_t>(c);
+      chaos.drop_prob = 0.12;
+      chaos.delay_prob = 0.10;
+      chaos.truncate_prob = 0.06;
+      chaos.reset_prob = 0.06;
+      chaos.delay_ms = 5;
+      // Bounded chaos guarantees forward progress under any retry budget.
+      chaos.max_faults = 12;
+      FaultSchedule schedule(chaos);
+      ControllerClient client(
+          [&server, &schedule]() -> std::unique_ptr<TcpConnection> {
+            return std::make_unique<FaultyConnection>(
+                TcpConnection::connect_local(server.port()), &schedule);
+          },
+          resilient_client());
+      for (int i = 0; i < kCallsEach; ++i) {
+        DecisionRequest req;
+        req.call_id = c * 1'000 + i;
+        req.time = i;
+        req.options = {0, 1};
+        if (client.request_decision(req) == 1) ++decisions_ok;
+        Observation obs;
+        obs.id = req.call_id;
+        obs.option = 1;
+        obs.time = i;
+        obs.perf = {100.0, 0.5, 2.0};
+        client.report(obs);
+      }
+      client.shutdown();
+      faults_total += schedule.faults_injected();
+    });
   }
+  for (auto& t : threads) t.join();
+  server.stop();
+
+  // Every decision answered, every distinct observation delivered exactly
+  // once — retries may duplicate frames, the server's dedup eats them.
+  EXPECT_EQ(decisions_ok.load(), kClients * kCallsEach);
+  EXPECT_EQ(policy.observed.load(), kClients * kCallsEach);
+  EXPECT_EQ(server.reports_received(), kClients * kCallsEach);
+  // The run actually exercised the fault machinery.
+  EXPECT_GT(faults_total.load(), 0);
+}
+
+TEST(Chaos, FaultyTransportLosesNoObservations) {
+  expect_faulty_transport_loses_nothing(ServerConfig{}, 0xC0FFEE);
+}
+
+/// The same scenario on an explicit two-worker pool, with its own fault seed.
+TEST(Chaos, ReactorFaultyTransportLosesNoObservations) {
+  expect_faulty_transport_loses_nothing(reactor_chaos_config(), 0xBAD5EED);
 }
 
 // ---------------------------------------------------------------- overload

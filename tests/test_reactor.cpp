@@ -132,52 +132,52 @@ TEST(Reactor, DecisionReportRefreshRoundTrip) {
   EXPECT_EQ(server.reports_received(), 1);
 }
 
-/// Eight clients at once, on the default server and on an explicit
-/// three-worker pool.  With two candidates every reply must be the one
-/// ModuloPolicy picks for that call's own id.
-TEST(Reactor, ManyConcurrentClients) {
-  struct Case {
-    const char* name;
-    ServerConfig config;
-    std::vector<OptionId> options;
-  };
-  for (const Case& run : {Case{"default server", ServerConfig{}, {0, 1}},
-                          Case{"three workers", reactor_config(3), {3}}}) {
-    SCOPED_TRACE(run.name);
-    ModuloPolicy policy;
-    ControllerServer server(policy, 0, run.config);
-    server.start();
+/// Eight clients at once.  Every reply must be the option ModuloPolicy
+/// picks for that call's own id, and every report must reach the policy.
+void expect_many_clients_served(const ServerConfig& config,
+                                const std::vector<OptionId>& options) {
+  ModuloPolicy policy;
+  ControllerServer server(policy, 0, config);
+  server.start();
 
-    constexpr int kClients = 8;
-    constexpr int kCallsEach = 50;
-    std::atomic<int> ok{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        ControllerClient client(server.port());
-        for (int i = 0; i < kCallsEach; ++i) {
-          DecisionRequest req;
-          req.call_id = c * 1000 + i;
-          req.options = run.options;
-          const OptionId expected =
-              run.options[static_cast<std::size_t>(req.call_id) % run.options.size()];
-          if (client.request_decision(req) == expected) ++ok;
-          Observation obs;
-          obs.id = req.call_id;
-          obs.option = expected;
-          obs.perf = {100.0, 0.5, 2.0};
-          client.report(obs);
-        }
-        client.shutdown();
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(ok.load(), kClients * kCallsEach);
-    EXPECT_EQ(policy.observed.load(), kClients * kCallsEach);
-    server.stop();
-    EXPECT_EQ(server.decisions_served(), kClients * kCallsEach);
+  constexpr int kClients = 8;
+  constexpr int kCallsEach = 50;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      ControllerClient client(server.port());
+      for (int i = 0; i < kCallsEach; ++i) {
+        DecisionRequest req;
+        req.call_id = c * 1000 + i;
+        req.options = options;
+        const OptionId expected =
+            options[static_cast<std::size_t>(req.call_id) % options.size()];
+        if (client.request_decision(req) == expected) ++ok;
+        Observation obs;
+        obs.id = req.call_id;
+        obs.option = expected;
+        obs.perf = {100.0, 0.5, 2.0};
+        client.report(obs);
+      }
+      client.shutdown();
+    });
   }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok.load(), kClients * kCallsEach);
+  EXPECT_EQ(policy.observed.load(), kClients * kCallsEach);
+  server.stop();
+  EXPECT_EQ(server.decisions_served(), kClients * kCallsEach);
+}
+
+TEST(Reactor, ManyConcurrentClients) {
+  expect_many_clients_served(reactor_config(3), {3});
+}
+
+/// The same scenario on the default server, with two candidates.
+TEST(Controller, ManyConcurrentClients) {
+  expect_many_clients_served(ServerConfig{}, {0, 1});
 }
 
 // ------------------------------------------------------- pipelined batches
